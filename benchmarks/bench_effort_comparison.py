@@ -20,10 +20,12 @@ from repro.attacks import (
 def run_comparison():
     comparison = dns_attack_comparison()
     success = end_to_end_success_table()
-    baseline = TraditionalClientAttackScenario(BaselineAttackConfig(seed=13)).run(600.0)
-    chronos_scenario = ChronosPoolAttackScenario(PoolAttackConfig(seed=13, poison_at_query=4))
+    baseline = TraditionalClientAttackScenario(
+        BaselineAttackConfig(seed=13, target_shift=600.0)).run()
+    chronos_scenario = ChronosPoolAttackScenario(PoolAttackConfig(
+        seed=13, poison_at_query=4, target_shift=600.0, update_rounds=5))
     chronos_pool = chronos_scenario.run_pool_generation()
-    chronos_shift = chronos_scenario.run_time_shift(600.0, update_rounds=5)
+    chronos_shift = chronos_scenario.run_time_shift()
     return comparison, success, baseline, chronos_pool, chronos_shift
 
 

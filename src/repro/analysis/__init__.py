@@ -32,7 +32,6 @@ from .pool_composition import (
     crossover_query_index,
     figure1_report,
     simulated_composition,
-    simulated_sweep,
 )
 from .response_capacity import (
     INTERESTING_PAYLOAD_LIMITS,
@@ -69,7 +68,6 @@ __all__ = [
     "crossover_query_index",
     "figure1_report",
     "simulated_composition",
-    "simulated_sweep",
     "INTERESTING_PAYLOAD_LIMITS",
     "CapacityRow",
     "capacity_row",

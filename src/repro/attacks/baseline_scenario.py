@@ -48,6 +48,9 @@ class BaselineAttackConfig:
     #: Declarative fault plan injected into the network (see :mod:`repro.faults`).
     faults: tuple = ()
     latency: float = 0.01
+    #: Offset the attacker's servers serve (seconds) and the polls to run.
+    target_shift: float = 600.0
+    poll_rounds: int = 4
 
 
 @dataclass
@@ -109,16 +112,17 @@ class TraditionalClientAttackScenario:
             defenses=testbed.defenses,
         )
 
-    def run(self, target_shift: float, poll_rounds: int = 4) -> BaselineAttackResult:
+    def run(self) -> BaselineAttackResult:
         """Run the start-up resolution (poisoned or not) and ``poll_rounds`` polls."""
         if self.config.poison_startup_lookup:
             # The attacker wins the single race: the hijack is active exactly
             # when the client resolves the pool name at start-up.
             self.hijacker.announce()
             self.simulator.schedule(30.0, self.hijacker.withdraw)
+        target_shift = self.config.target_shift
         self.attacker.set_time_shift(target_shift)
         self.client.start()
-        self.simulator.run_for(poll_rounds * self.config.poll_interval + 30.0)
+        self.simulator.run_for(self.config.poll_rounds * self.config.poll_interval + 30.0)
         malicious = set(self.attacker.ntp_addresses)
         used = list(self.client.servers)
         return BaselineAttackResult(

@@ -47,7 +47,7 @@ class PoolAttackConfig:
     benign_ttl: int = POOL_NTP_ORG_TTL
     #: 1-indexed pool-generation query at which the poisoning lands
     #: (``None`` = no attack).
-    poison_at_query: Optional[int] = 1
+    poison_at_query: Optional[int] = 3
     #: How long the hijack window stays open (seconds).  The attack needs it
     #: open only around one query.
     hijack_duration: float = 600.0
@@ -69,6 +69,12 @@ class PoolAttackConfig:
     faults: tuple = ()
     #: Mean one-way network latency (seconds).
     latency: float = 0.01
+    #: Time-shifting phase (:meth:`ChronosPoolAttackScenario.run_time_shift`):
+    #: whether the registry adapter runs it after pool generation, the offset
+    #: the attacker's servers serve (seconds) and the Chronos update rounds.
+    run_time_shift: bool = True
+    target_shift: float = 600.0
+    update_rounds: int = 5
 
 
 @dataclass
@@ -192,14 +198,15 @@ class ChronosPoolAttackScenario:
         )
         return self.pool_result
 
-    def run_time_shift(self, target_shift: float, update_rounds: int = 8) -> TimeShiftResult:
+    def run_time_shift(self) -> TimeShiftResult:
         """Phase 2: attacker NTP servers serve shifted time; run Chronos updates."""
         if self.pool_result is None:
             raise RuntimeError("run_pool_generation() must be called first")
+        target_shift = self.config.target_shift
         self.attacker.set_time_shift(target_shift)
         # Begin the Chronos update loop on the already-generated pool.
         self.client.begin_updates()
-        duration = update_rounds * self.config.chronos.poll_interval + 60.0
+        duration = self.config.update_rounds * self.config.chronos.poll_interval + 60.0
         self.simulator.run_for(duration)
         applied = [record.applied_offset for record in self.client.update_history
                    if record.applied_offset is not None]

@@ -134,9 +134,6 @@ class AuthoritativeNameserver(Host):
         self.truncated_responses = 0
 
     # -- zone management -----------------------------------------------------
-    def add_records(self, owner: str, addresses: Sequence[str]) -> None:
-        self.zone.setdefault(normalise_name(owner), []).extend(addresses)
-
     def records_for(self, owner: str) -> list[str]:
         return self.zone.get(normalise_name(owner), [])
 

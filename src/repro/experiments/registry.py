@@ -8,14 +8,21 @@ scenarios of the paper) live in :mod:`repro.experiments.scenarios` and are
 loaded lazily on first lookup, which keeps this module free of imports from
 the attacks layer and thereby breaks the ``attacks -> experiments.testbed``
 / ``experiments -> attacks`` cycle.
+
+An attack scenario's parameter schema is its config dataclass:
+:class:`ConfigScenario` derives ``default_params()``, the accepted keys and
+the config construction from ``dataclasses.fields``, so each default is
+written once, on the dataclass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import sys
 from collections.abc import Mapping, Sequence
-from typing import Any, Protocol, runtime_checkable
+from functools import cached_property
+from typing import Any, Optional, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -127,3 +134,63 @@ def optional_params(scenario: Scenario) -> tuple[str, ...]:
     """
     declare = getattr(scenario, "optional_params", None)
     return tuple(declare()) if declare is not None else ()
+
+
+class ConfigScenario:
+    """An adapter whose parameter schema is the scenario's config dataclass.
+
+    Subclasses name the dataclass (``config_class``), the fields exposed as
+    registry parameters (``params``, in ``default_params()`` order) and the
+    opt-in fields accepted without a default (``opt_in``).  An exposed name
+    may also be a field of a dataclass-valued config field listed in
+    ``nested`` (the pool attack's ``pool_policy``).  Defaults, unknown-key
+    rejection and config construction all follow from ``dataclasses.fields``;
+    subclasses implement only :meth:`measure`, which runs the scenario and
+    flattens its outcome into metrics.
+    """
+
+    name: str
+    description: str
+    config_class: type
+    params: tuple[str, ...]
+    opt_in: tuple[str, ...] = ("faults",)
+    nested: tuple[str, ...] = ()
+
+    @cached_property
+    def _fields(self) -> dict[str, tuple[Optional[dataclasses.Field], dataclasses.Field]]:
+        """Accepted name -> (owning nested config field or ``None``, field)."""
+        top = {f.name: f for f in dataclasses.fields(self.config_class)}
+        owned = {f.name: (top[owner], f) for owner in self.nested
+                 for f in dataclasses.fields(top[owner].default_factory)}
+        owned.update((name, (None, f)) for name, f in top.items())
+        return {name: owned[name] for name in (*self.params, *self.opt_in)}
+
+    def default_params(self) -> dict[str, Any]:
+        return {name: self._fields[name][1].default for name in self.params}
+
+    def optional_params(self) -> tuple[str, ...]:
+        return self.opt_in
+
+    def build_config(self, seed: int, params: Mapping[str, Any]) -> Any:
+        """The config of one run from its resolved parameter dict."""
+        kwargs: dict[str, Any] = {}
+        nested: dict[dataclasses.Field, dict[str, Any]] = {}
+        for name, value in params.items():
+            owner, f = self._fields[name]
+            if isinstance(f.default, tuple):  # defenses/faults: any sequence
+                value = tuple(value or ())
+            if owner is None:
+                kwargs[name] = value
+            else:
+                nested.setdefault(owner, {})[name] = value
+        for owner, values in nested.items():
+            kwargs[owner.name] = owner.default_factory(**values)
+        return self.config_class(seed=seed, **kwargs)
+
+    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
+        p = merge_params(self.default_params(), params, optional=self.opt_in)
+        return self.measure(self.build_config(seed, p), p)
+
+    def measure(self, config: Any, params: Mapping[str, Any]) -> dict[str, Any]:
+        """Run the scenario for ``config`` and flatten its outcome."""
+        raise NotImplementedError

@@ -1,18 +1,24 @@
 """Registry adapters exposing the attack scenarios as named experiments.
 
-Each adapter translates a flat, picklable parameter dict into the scenario's
-config dataclass, runs the scenario, and flattens the outcome into a metrics
-dict.  Conventions shared by all adapters so sweeps aggregate uniformly:
+Each attack adapter is a :class:`~repro.experiments.registry.ConfigScenario`:
+it names its scenario's config dataclass, the fields exposed as parameters
+and its opt-in fields, and flattens the outcome into a metrics dict.  The
+defaults live on the dataclasses alone.  Conventions shared by all adapters
+so sweeps aggregate uniformly:
 
 * ``attack_succeeded`` — the scenario's headline success criterion (bool);
 * ``achieved_shift`` — the clock error reached on the victim, where the
   scenario has a time-shifting phase (seconds);
 * ``defenses`` — every attack scenario accepts a tuple of defense registry
   names (see :mod:`repro.defenses`) stacked onto the victim, and reports
-  ``defense_rejections`` (defense name -> rejected responses/samples).
+  ``defense_rejections`` (defense name -> rejected responses/samples);
+* ``faults`` — every attack scenario accepts an opt-in fault-plan spec (see
+  :mod:`repro.faults`).  Opt-in names have no default, so a fault-free
+  sweep's resolved params — its digests and cache keys — never mention it.
 
-Importing this module registers the adapters; the registry does so lazily on
-first lookup.
+The non-attack scenarios (``dns_measurement``, ``transport_overhead``) have
+no config dataclass and keep literal default dicts.  Importing this module
+registers the adapters; the registry does so lazily on first lookup.
 """
 
 from __future__ import annotations
@@ -26,20 +32,8 @@ from ..attacks.bgp_hijack import BGPHijackConfig, BGPHijackScenario
 from ..attacks.chronos_pool_attack import ChronosPoolAttackScenario, PoolAttackConfig
 from ..attacks.downgrade import DowngradeConfig, DowngradeScenario
 from ..attacks.frag_poisoning import FragPoisoningConfig, FragPoisoningScenario
-from ..core.pool_generation import PoolGenerationPolicy
 from ..defenses.stack import DefenseStack
-from .registry import merge_params, register_scenario
-
-#: The opt-in parameter every attack adapter accepts without defaulting:
-#: a fault-plan spec (see :mod:`repro.faults`).  Declared optional so a
-#: fault-free sweep's resolved params — and therefore its digests and
-#: cache keys — are byte-identical to the pre-fault-subsystem era.
-ATTACK_OPTIONAL_PARAMS: tuple[str, ...] = ("faults",)
-
-
-def _fault_spec(p: Mapping[str, Any]) -> tuple:
-    """The normalised fault plan of a parameter dict (absent = none)."""
-    return tuple(p.get("faults") or ())
+from .registry import ConfigScenario, merge_params, register_scenario
 
 
 def defense_rejections(*stacks: DefenseStack) -> dict[str, int]:
@@ -56,51 +50,21 @@ def defense_rejections(*stacks: DefenseStack) -> dict[str, int]:
 
 
 @register_scenario
-class ChronosPoolAttackExperiment:
+class ChronosPoolAttackExperiment(ConfigScenario):
     """Figure 1 end to end: poison the pool generation, then shift the clock."""
 
     name = "chronos_pool_attack"
     description = ("DNS poisoning of Chronos' 24-query pool generation "
                    "followed by the time-shifting phase (§IV)")
+    config_class = PoolAttackConfig
+    nested = ("pool_policy",)
+    params = ("poison_at_query", "benign_server_count", "attacker_record_count",
+              "malicious_ttl", "hijack_duration", "dedupe",
+              "max_addresses_per_response", "max_accepted_ttl", "run_time_shift",
+              "target_shift", "update_rounds", "defenses")
 
-    def default_params(self) -> dict[str, Any]:
-        return {
-            "poison_at_query": 3,
-            "benign_server_count": 200,
-            "attacker_record_count": None,
-            "malicious_ttl": 2 * 86400,
-            "hijack_duration": 600.0,
-            "dedupe": True,
-            "max_addresses_per_response": None,
-            "max_accepted_ttl": None,
-            "run_time_shift": True,
-            "target_shift": 600.0,
-            "update_rounds": 5,
-            "defenses": (),
-        }
-
-    def optional_params(self) -> tuple[str, ...]:
-        return ATTACK_OPTIONAL_PARAMS
-
-    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = merge_params(self.default_params(), params,
-                         optional=self.optional_params())
-        policy = PoolGenerationPolicy(
-            dedupe=p["dedupe"],
-            max_addresses_per_response=p["max_addresses_per_response"],
-            max_accepted_ttl=p["max_accepted_ttl"],
-        )
-        config = PoolAttackConfig(
-            seed=seed,
-            faults=_fault_spec(p),
-            poison_at_query=p["poison_at_query"],
-            benign_server_count=p["benign_server_count"],
-            attacker_record_count=p["attacker_record_count"],
-            malicious_ttl=p["malicious_ttl"],
-            hijack_duration=p["hijack_duration"],
-            pool_policy=policy,
-            defenses=tuple(p["defenses"]),
-        )
+    def measure(self, config: PoolAttackConfig,
+                params: Mapping[str, Any]) -> dict[str, Any]:
         scenario = ChronosPoolAttackScenario(config)
         pool = scenario.run_pool_generation()
         metrics: dict[str, Any] = {
@@ -114,9 +78,8 @@ class ChronosPoolAttackExperiment:
             "cache_hits": pool.cache_hits_during_generation,
             "poisoned_queries": list(pool.poisoned_queries),
         }
-        if p["run_time_shift"]:
-            shift = scenario.run_time_shift(p["target_shift"],
-                                            update_rounds=p["update_rounds"])
+        if config.run_time_shift:
+            shift = scenario.run_time_shift()
             metrics.update(
                 achieved_shift=shift.achieved_error,
                 shift_achieved=shift.shift_achieved,
@@ -127,43 +90,20 @@ class ChronosPoolAttackExperiment:
 
 
 @register_scenario
-class TraditionalClientAttackExperiment:
+class TraditionalClientAttackExperiment(ConfigScenario):
     """The baseline comparison: poison a plain NTP client's one DNS lookup."""
 
     name = "traditional_client_attack"
     description = ("DNS poisoning of a traditional NTP client's start-up "
                    "resolution followed by time shifting (E6/E9 baseline)")
+    config_class = BaselineAttackConfig
+    params = ("poison_startup_lookup", "benign_server_count", "attacker_record_count",
+              "malicious_ttl", "max_servers", "target_shift", "poll_rounds", "defenses")
 
-    def default_params(self) -> dict[str, Any]:
-        return {
-            "poison_startup_lookup": True,
-            "benign_server_count": 50,
-            "attacker_record_count": 4,
-            "malicious_ttl": 2 * 86400,
-            "max_servers": 4,
-            "target_shift": 600.0,
-            "poll_rounds": 4,
-            "defenses": (),
-        }
-
-    def optional_params(self) -> tuple[str, ...]:
-        return ATTACK_OPTIONAL_PARAMS
-
-    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = merge_params(self.default_params(), params,
-                         optional=self.optional_params())
-        config = BaselineAttackConfig(
-            seed=seed,
-            faults=_fault_spec(p),
-            poison_startup_lookup=p["poison_startup_lookup"],
-            benign_server_count=p["benign_server_count"],
-            attacker_record_count=p["attacker_record_count"],
-            malicious_ttl=p["malicious_ttl"],
-            max_servers=p["max_servers"],
-            defenses=tuple(p["defenses"]),
-        )
+    def measure(self, config: BaselineAttackConfig,
+                params: Mapping[str, Any]) -> dict[str, Any]:
         scenario = TraditionalClientAttackScenario(config)
-        result = scenario.run(p["target_shift"], poll_rounds=p["poll_rounds"])
+        result = scenario.run()
         return {
             "attack_succeeded": result.attack_succeeded,
             "defense_rejections": defense_rejections(scenario.resolver.defenses,
@@ -176,41 +116,18 @@ class TraditionalClientAttackExperiment:
 
 
 @register_scenario
-class BGPHijackExperiment:
+class BGPHijackExperiment(ConfigScenario):
     """The prefix-hijack poisoning vector on its own (§II)."""
 
     name = "bgp_hijack"
     description = ("cache poisoning of the victim resolver via a BGP "
                    "more-specific hijack of the nameserver prefix (§II)")
+    config_class = BGPHijackConfig
+    params = ("benign_server_count", "attacker_record_count", "malicious_ttl",
+              "hijack_start", "hijack_duration", "lookup_time", "defenses")
 
-    def default_params(self) -> dict[str, Any]:
-        return {
-            "benign_server_count": 60,
-            "attacker_record_count": None,
-            "malicious_ttl": 2 * 86400,
-            "hijack_start": 0.0,
-            "hijack_duration": 30.0,
-            "lookup_time": 5.0,
-            "defenses": (),
-        }
-
-    def optional_params(self) -> tuple[str, ...]:
-        return ATTACK_OPTIONAL_PARAMS
-
-    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = merge_params(self.default_params(), params,
-                         optional=self.optional_params())
-        config = BGPHijackConfig(
-            seed=seed,
-            faults=_fault_spec(p),
-            benign_server_count=p["benign_server_count"],
-            attacker_record_count=p["attacker_record_count"],
-            malicious_ttl=p["malicious_ttl"],
-            hijack_start=p["hijack_start"],
-            hijack_duration=p["hijack_duration"],
-            lookup_time=p["lookup_time"],
-            defenses=tuple(p["defenses"]),
-        )
+    def measure(self, config: BGPHijackConfig,
+                params: Mapping[str, Any]) -> dict[str, Any]:
         scenario = BGPHijackScenario(config)
         result = scenario.run()
         return {
@@ -225,52 +142,23 @@ class BGPHijackExperiment:
 
 
 @register_scenario
-class FragPoisoningExperiment:
+class FragPoisoningExperiment(ConfigScenario):
     """The defragmentation-cache injection poisoning vector (§II.A)."""
 
     name = "frag_poisoning"
     description = ("cache poisoning via spoofed trailing IPv4 fragments "
                    "spliced into the nameserver's fragmented response (§II.A)")
+    config_class = FragPoisoningConfig
+    params = ("benign_server_count", "records_per_response", "nameserver_min_mtu",
+              "accept_fragments", "checksum_oracle", "ipid_window", "starting_ipid",
+              "attacker_record_count", "malicious_ttl", "defenses")
+    # trigger_count/trigger_interval opt into the sustained-load profile
+    # (the ``sustained_load`` matrix row); leaving them out keeps the
+    # classic single-race run — and its pinned digests — untouched.
+    opt_in = ("faults", "trigger_count", "trigger_interval")
 
-    def default_params(self) -> dict[str, Any]:
-        return {
-            "benign_server_count": 60,
-            "records_per_response": 40,
-            "nameserver_min_mtu": 548,
-            "accept_fragments": True,
-            "checksum_oracle": True,
-            "ipid_window": 16,
-            "starting_ipid": None,
-            "attacker_record_count": None,
-            "malicious_ttl": 2 * 86400,
-            "defenses": (),
-        }
-
-    def optional_params(self) -> tuple[str, ...]:
-        # trigger_count/trigger_interval opt into the sustained-load profile
-        # (the ``sustained_load`` matrix row); leaving them out keeps the
-        # classic single-race run — and its pinned digests — untouched.
-        return (*ATTACK_OPTIONAL_PARAMS, "trigger_count", "trigger_interval")
-
-    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = merge_params(self.default_params(), params,
-                         optional=self.optional_params())
-        config = FragPoisoningConfig(
-            seed=seed,
-            faults=_fault_spec(p),
-            benign_server_count=p["benign_server_count"],
-            records_per_response=p["records_per_response"],
-            nameserver_min_mtu=p["nameserver_min_mtu"],
-            accept_fragments=p["accept_fragments"],
-            checksum_oracle=p["checksum_oracle"],
-            ipid_window=p["ipid_window"],
-            starting_ipid=p["starting_ipid"],
-            attacker_record_count=p["attacker_record_count"],
-            malicious_ttl=p["malicious_ttl"],
-            defenses=tuple(p["defenses"]),
-            trigger_count=int(p.get("trigger_count", 1)),
-            trigger_interval=float(p.get("trigger_interval", 0.25)),
-        )
+    def measure(self, config: FragPoisoningConfig,
+                params: Mapping[str, Any]) -> dict[str, Any]:
         scenario = FragPoisoningScenario(config)
         result = scenario.run()
         metrics = {
@@ -281,7 +169,7 @@ class FragPoisoningExperiment:
             "poisoned_records_cached": result.poisoned_records_cached,
             "records_cached": result.records_cached,
         }
-        if "trigger_count" in p:
+        if "trigger_count" in params:
             limiter = scenario.nameserver.rate_limiter
             metrics.update({
                 "races_run": result.races_run,
@@ -293,51 +181,20 @@ class FragPoisoningExperiment:
 
 
 @register_scenario
-class DowngradeAttackExperiment:
+class DowngradeAttackExperiment(ConfigScenario):
     """The encrypted-transport downgrade vector: force plaintext, then poison."""
 
     name = "downgrade"
     description = ("SYN-flood downgrade of opportunistic encrypted DNS "
                    "followed by the classic fragmentation poisoning race")
+    config_class = DowngradeConfig
+    params = ("benign_server_count", "records_per_response", "nameserver_min_mtu",
+              "syns_per_port", "flood_bursts", "flood_interval", "lookup_time",
+              "ipid_window", "checksum_oracle", "attacker_record_count",
+              "malicious_ttl", "defenses")
 
-    def default_params(self) -> dict[str, Any]:
-        return {
-            "benign_server_count": 60,
-            "records_per_response": 40,
-            "nameserver_min_mtu": 548,
-            "syns_per_port": None,
-            "flood_bursts": 3,
-            "flood_interval": 5.0,
-            "lookup_time": 1.0,
-            "ipid_window": 16,
-            "checksum_oracle": True,
-            "attacker_record_count": None,
-            "malicious_ttl": 2 * 86400,
-            "defenses": (),
-        }
-
-    def optional_params(self) -> tuple[str, ...]:
-        return ATTACK_OPTIONAL_PARAMS
-
-    def run(self, seed: int, params: Mapping[str, Any]) -> dict[str, Any]:
-        p = merge_params(self.default_params(), params,
-                         optional=self.optional_params())
-        config = DowngradeConfig(
-            seed=seed,
-            faults=_fault_spec(p),
-            benign_server_count=p["benign_server_count"],
-            records_per_response=p["records_per_response"],
-            nameserver_min_mtu=p["nameserver_min_mtu"],
-            syns_per_port=p["syns_per_port"],
-            flood_bursts=p["flood_bursts"],
-            flood_interval=p["flood_interval"],
-            lookup_time=p["lookup_time"],
-            ipid_window=p["ipid_window"],
-            checksum_oracle=p["checksum_oracle"],
-            attacker_record_count=p["attacker_record_count"],
-            malicious_ttl=p["malicious_ttl"],
-            defenses=tuple(p["defenses"]),
-        )
+    def measure(self, config: DowngradeConfig,
+                params: Mapping[str, Any]) -> dict[str, Any]:
         scenario = DowngradeScenario(config)
         result = scenario.run()
         return {

@@ -45,10 +45,6 @@ class NameserverStudyReport:
     dnssec_enabled: int
     probes: list[NameserverProbeResult] = field(default_factory=list)
 
-    @property
-    def fragmenting_fraction(self) -> float:
-        return self.fragmenting_without_dnssec / self.total if self.total else 0.0
-
     def summary_row(self) -> str:
         """The row the paper reports: "16 out of 30 nameservers ..."."""
         return (f"{self.fragmenting_without_dnssec} out of {self.total} nameservers "

@@ -10,10 +10,11 @@ Insecurity on Time") for three statistics:
 * for 14 % of the resolvers used by web clients, the attacker can trigger
   queries via SMTP servers or open resolvers.
 
-We cannot re-run an Internet measurement, so — per the substitution rule in
-DESIGN.md — the populations here are synthetic: attribute distributions are
-seeded so that the *marginals* match the published numbers, while the study
-code in :mod:`repro.measurement.nameserver_study` and
+We cannot re-run an Internet measurement, so — as the README's
+"Benchmarks / reproduction report" notes for E4 — the populations here are
+synthetic: attribute distributions are seeded so that the *marginals* match
+the published numbers, while the study code in
+:mod:`repro.measurement.nameserver_study` and
 :mod:`repro.measurement.resolver_study` computes the statistics from the
 population exactly the way a measurement script would (probe, classify,
 aggregate), so the analysis pipeline is exercised end to end.

@@ -131,7 +131,10 @@ class NTPPacket:
             raise PacketFormatError(f"NTP packet too short: {len(data)} bytes")
         leap = LeapIndicator((data[0] >> 6) & 0x3)
         version = (data[0] >> 3) & 0x7
-        mode = NTPMode(data[0] & 0x7)
+        try:
+            mode = NTPMode(data[0] & 0x7)
+        except ValueError:  # 0 reserved, 6 control (ntpq), 7 private
+            raise PacketFormatError(f"unsupported NTP mode {data[0] & 0x7}") from None
         precision = data[3] if data[3] < 128 else data[3] - 256
 
         def timestamp(offset: int) -> float:

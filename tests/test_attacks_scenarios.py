@@ -168,27 +168,27 @@ def test_full_day_hijack_defeats_both_mitigations():
 def test_time_shift_requires_pool_generation_first():
     scenario = ChronosPoolAttackScenario(PoolAttackConfig())
     with pytest.raises(RuntimeError):
-        scenario.run_time_shift(1.0)
+        scenario.run_time_shift()
 
 
 def test_time_shift_succeeds_after_successful_pool_attack():
-    scenario, result = run_scenario(2)
+    scenario, result = run_scenario(2, target_shift=600.0, update_rounds=6)
     assert result.attack_succeeded
-    shift = scenario.run_time_shift(target_shift=600.0, update_rounds=6)
+    shift = scenario.run_time_shift()
     assert shift.shift_achieved
     assert abs(shift.achieved_error - 600.0) < 10.0
 
 
 def test_time_shift_fails_without_pool_attack():
-    scenario, result = run_scenario(None)
-    shift = scenario.run_time_shift(target_shift=600.0, update_rounds=4)
+    scenario, result = run_scenario(None, target_shift=600.0, update_rounds=4)
+    shift = scenario.run_time_shift()
     assert not shift.shift_achieved
     assert abs(shift.achieved_error) < 1.0
 
 
 def test_small_shift_on_benign_pool_also_filtered():
-    scenario, _ = run_scenario(None, seed=8)
-    shift = scenario.run_time_shift(target_shift=0.05, update_rounds=4)
+    scenario, _ = run_scenario(None, seed=8, target_shift=0.05, update_rounds=4)
+    shift = scenario.run_time_shift()
     # 89 attacker servers exist but none are in the pool, so nothing moves.
     assert abs(shift.achieved_error) < 0.02
 
@@ -196,16 +196,16 @@ def test_small_shift_on_benign_pool_also_filtered():
 # -- the baseline (traditional client) scenario -----------------------------------------------
 
 def test_baseline_poisoned_client_follows_attacker():
-    scenario = TraditionalClientAttackScenario(BaselineAttackConfig(seed=6))
-    result = scenario.run(target_shift=600.0)
+    scenario = TraditionalClientAttackScenario(BaselineAttackConfig(seed=6, target_shift=600.0))
+    result = scenario.run()
     assert result.malicious_servers_used == len(result.servers_used) == 4
     assert result.attack_succeeded
 
 
 def test_baseline_unpoisoned_client_keeps_correct_time():
     scenario = TraditionalClientAttackScenario(
-        BaselineAttackConfig(seed=6, poison_startup_lookup=False))
-    result = scenario.run(target_shift=600.0)
+        BaselineAttackConfig(seed=6, poison_startup_lookup=False, target_shift=600.0))
+    result = scenario.run()
     assert result.malicious_servers_used == 0
     assert not result.attack_succeeded
     assert abs(result.achieved_error) < 0.1

@@ -11,8 +11,18 @@ The two contracts the engine guarantees:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.attacks import (
+    BaselineAttackConfig,
+    BGPHijackConfig,
+    DowngradeConfig,
+    FragPoisoningConfig,
+    PoolAttackConfig,
+)
+from repro.core.pool_generation import PoolGenerationPolicy
 from repro.experiments import (
     ExperimentResult,
     ExperimentRunner,
@@ -26,6 +36,7 @@ from repro.experiments import (
     run_scenario,
     wilson_interval,
 )
+from repro.experiments.registry import optional_params
 
 ALL_SCENARIOS = {"chronos_pool_attack", "traditional_client_attack",
                  "bgp_hijack", "frag_poisoning"}
@@ -58,6 +69,45 @@ def test_registry_lookup_and_config_roundtrip():
         defaults = scenario.default_params()
         assert merge_params(defaults, {}) == defaults
         assert merge_params(defaults, dict(defaults)) == defaults
+
+
+#: Each attack scenario's config dataclass(es): the one parameter schema.
+ATTACK_SCHEMAS = {
+    "chronos_pool_attack": (PoolAttackConfig, PoolGenerationPolicy),
+    "traditional_client_attack": (BaselineAttackConfig,),
+    "bgp_hijack": (BGPHijackConfig,),
+    "frag_poisoning": (FragPoisoningConfig,),
+    "downgrade": (DowngradeConfig,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATTACK_SCHEMAS))
+def test_registry_defaults_agree_with_config_dataclasses(name):
+    """Building the dataclass directly runs the same attack as the registry."""
+    field_defaults = {}
+    for config_class in reversed(ATTACK_SCHEMAS[name]):
+        field_defaults.update((f.name, f.default)
+                              for f in dataclasses.fields(config_class))
+    defaults = get_scenario(name).default_params()
+    for key, value in defaults.items():
+        assert key in field_defaults, f"{name}.{key} is not a config field"
+        assert repr(value) == repr(field_defaults[key]), f"{name}.{key}"
+    config_class = ATTACK_SCHEMAS[name][0]
+    assert get_scenario(name).build_config(7, defaults) == config_class(seed=7)
+
+
+def test_pool_attack_config_defaults_match_the_registry():
+    config = PoolAttackConfig()
+    assert (config.poison_at_query, config.update_rounds, config.target_shift) == (3, 5, 600.0)
+
+
+@pytest.mark.parametrize("name", sorted(available_scenarios()))
+@pytest.mark.parametrize("field", ["latency", "zone"])
+def test_unexposed_config_fields_are_rejected(name, field):
+    scenario = get_scenario(name)
+    with pytest.raises(ValueError, match="unknown scenario parameter"):
+        merge_params(scenario.default_params(), {field: None},
+                     optional=optional_params(scenario))
 
 
 def test_registry_rejects_unknown_scenario_and_parameter():

@@ -4,8 +4,7 @@ The load-bearing contract is inherited from the runner and strengthened:
 flattening many specs into one task stream, executing them on one shared
 pool with guided chunking, and replaying cells from the persistent cache
 must all be *invisible* in the output — byte-identical digests across worker
-counts, across the shared and legacy per-row paths, and across cold and warm
-cache runs.
+counts, against per-row runners, and across cold and warm cache runs.
 """
 
 from __future__ import annotations
@@ -212,13 +211,16 @@ def test_interrupted_sweep_persists_completed_records(tmp_path):
 
 def test_matrix_shared_scheduler_matches_legacy_per_row_path():
     shared = run_defense_matrix(TRIMMED_ATTACKS, TRIMMED_STACKS, seeds=(1, 2))
-    legacy = run_defense_matrix(TRIMMED_ATTACKS, TRIMMED_STACKS, seeds=(1, 2),
-                                shared_scheduler=False)
-    assert shared.digest() == legacy.digest()
-    assert shared.success_table() == legacy.success_table()
+    # The legacy path ran one ExperimentRunner (own pool, own barrier) per row.
+    legacy = [ExperimentRunner(spec=spec, workers=1).run()
+              for spec in matrix_specs(TRIMMED_ATTACKS, TRIMMED_STACKS, (1, 2))]
+    for attack, row in zip(TRIMMED_ATTACKS, legacy):
+        shared_records = [record
+                          for stack in TRIMMED_STACKS
+                          for record in shared.cell(attack.label, stack.name).result.records]
+        assert shared_records == row.records
     assert shared.sweep_stats is not None
     assert shared.sweep_stats.tasks_total == len(TRIMMED_ATTACKS) * len(TRIMMED_STACKS) * 2
-    assert legacy.sweep_stats is None
 
 
 def test_matrix_warm_cache_run_is_byte_identical_and_computes_nothing(tmp_path):

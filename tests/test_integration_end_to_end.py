@@ -24,15 +24,17 @@ def test_paper_narrative_end_to_end():
        something the analysis says a MitM without the DNS attack would need
        years to achieve.
     """
-    benign = ChronosPoolAttackScenario(PoolAttackConfig(seed=31, poison_at_query=None))
+    benign = ChronosPoolAttackScenario(PoolAttackConfig(
+        seed=31, poison_at_query=None, target_shift=600.0, update_rounds=5))
     benign_pool = benign.run_pool_generation()
-    benign_shift = benign.run_time_shift(target_shift=600.0, update_rounds=5)
+    benign_shift = benign.run_time_shift()
     assert benign_pool.composition.malicious == 0
     assert abs(benign_shift.achieved_error) < 0.1
 
-    attacked = ChronosPoolAttackScenario(PoolAttackConfig(seed=31, poison_at_query=2))
+    attacked = ChronosPoolAttackScenario(PoolAttackConfig(
+        seed=31, poison_at_query=2, target_shift=600.0, update_rounds=6))
     attacked_pool = attacked.run_pool_generation()
-    attacked_shift = attacked.run_time_shift(target_shift=600.0, update_rounds=6)
+    attacked_shift = attacked.run_time_shift()
     assert attacked_pool.attack_succeeded
     assert attacked_pool.composition.malicious == 89
     assert attacked_shift.shift_achieved
@@ -53,8 +55,8 @@ def test_dns_attack_easier_against_chronos_than_plain_ntp():
                      if analytic_pool_composition(k).attacker_has_two_thirds]
     assert opportunities == list(range(1, 13))
 
-    baseline = TraditionalClientAttackScenario(BaselineAttackConfig(seed=32))
-    baseline_result = baseline.run(target_shift=600.0)
+    baseline = TraditionalClientAttackScenario(BaselineAttackConfig(seed=32, target_shift=600.0))
+    baseline_result = baseline.run()
     assert baseline_result.attack_succeeded
 
     chronos = ChronosPoolAttackScenario(PoolAttackConfig(seed=32, poison_at_query=12,
@@ -85,10 +87,11 @@ def test_chronos_panic_mode_is_controlled_after_pool_attack():
     mode too, so the large shift lands even though the per-round checks fire."""
     scenario = ChronosPoolAttackScenario(
         PoolAttackConfig(seed=34, poison_at_query=1,
-                         chronos=ChronosConfig(max_retries=1)))
+                         chronos=ChronosConfig(max_retries=1),
+                         target_shift=3600.0, update_rounds=6))
     pool = scenario.run_pool_generation()
     assert pool.attack_succeeded
-    shift = scenario.run_time_shift(target_shift=3600.0, update_rounds=6)
+    shift = scenario.run_time_shift()
     assert shift.shift_achieved
     assert shift.panic_rounds >= 1
 

@@ -7,9 +7,11 @@ import pytest
 from repro.dns.nameserver import PoolNTPNameserver
 from repro.dns.resolver import RecursiveResolver, ResolverPolicy
 from repro.netsim.network import Host, LinkProperties, Network
+from repro.netsim.packets import UDPDatagram
 from repro.netsim.simulator import Simulator
 from repro.ntp.client import TraditionalNTPClient
 from repro.ntp.clock import SystemClock
+from repro.ntp.packet import NTP_PACKET_SIZE, NTP_PORT
 from repro.ntp.query import NTPQuerier
 from repro.ntp.server import MaliciousNTPServer, NTPServer
 
@@ -46,6 +48,31 @@ def test_honest_server_sample_offset_near_zero():
     assert abs(samples[0].offset) < 0.01
     assert samples[0].delay == pytest.approx(0.04, abs=0.01)
     assert samples[0].server == server.address
+
+
+def mode6_datagram(src_port, dst_port):
+    """An ``ntpq`` control-mode packet, off-path from the NTP exchange."""
+    payload = bytes([(4 << 3) | 6]) + b"\x00" * (NTP_PACKET_SIZE - 1)
+    return UDPDatagram("198.51.100.7", "10.0.0.1", src_port, dst_port, payload)
+
+
+def test_server_ignores_control_mode_datagram():
+    _, network = build()
+    server = NTPServer(network, "10.0.0.1")
+    server.handle_datagram(mode6_datagram(40000, NTP_PORT))
+    assert server.requests_received == 0
+
+
+def test_querier_ignores_control_mode_datagram_and_still_completes():
+    simulator, network = build()
+    server = NTPServer(network, "10.0.0.1")
+    client = QuerierHost(network, "192.0.2.100")
+    samples = []
+    client.querier.query(server.address, samples.append)
+    assert client.querier.handle_datagram(mode6_datagram(NTP_PORT, 40000)) is False
+    simulator.run(until=5.0)
+    assert len(samples) == 1
+    assert samples[0] is not None
 
 
 def test_server_with_clock_error_reports_that_offset():

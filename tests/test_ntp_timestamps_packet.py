@@ -145,6 +145,15 @@ def test_decode_truncated_packet_rejected():
         NTPPacket.decode(b"\x00" * 10)
 
 
+@pytest.mark.parametrize("mode", [0, 6, 7])
+def test_decode_rejects_unsupported_modes(mode):
+    """Reserved, control (ntpq) and private modes are format errors, not
+    a bare ``ValueError`` escaping into the receive path."""
+    data = bytes([(4 << 3) | mode]) + b"\x00" * (NTP_PACKET_SIZE - 1)
+    with pytest.raises(PacketFormatError, match="mode"):
+        NTPPacket.decode(data)
+
+
 def test_zero_timestamps_stay_zero():
     packet = NTPPacket(mode=NTPMode.CLIENT)
     decoded = NTPPacket.decode(packet.encode())
