@@ -13,9 +13,11 @@ experiments can report exactly which pool members were attacker-controlled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import Optional
 
+from .message import AnswerSection, DNSMessage
 from .records import RecordType, ResourceRecord
 from .wire import normalise_name
 
@@ -24,10 +26,18 @@ from .wire import normalise_name
 class CacheEntry:
     """All records cached for one (name, type) key, from one response."""
 
-    records: list[ResourceRecord]
+    records: tuple[ResourceRecord, ...]
     inserted_at: float
     ttl: int
     poisoned: bool = False
+    #: The records' answer sections, encoded on first use per reply layout
+    #: (see :meth:`DNSMessage.cache_hit_reply`).
+    sections: dict[tuple[str, int], AnswerSection] = field(
+        default_factory=dict, repr=False, compare=False)
+
+    def reply(self, query: DNSMessage, ttl: int) -> bytes:
+        """Wire reply to ``query`` from this entry, its answers stamped ``ttl``."""
+        return query.cache_hit_reply(self.records, ttl, self.sections)
 
     def expires_at(self) -> float:
         return self.inserted_at + self.ttl
@@ -76,7 +86,7 @@ class DNSCache:
     def _key(self, name: str, rtype: RecordType) -> tuple[str, RecordType]:
         return (normalise_name(name), rtype)
 
-    def insert(self, name: str, rtype: RecordType, records: list[ResourceRecord],
+    def insert(self, name: str, rtype: RecordType, records: Sequence[ResourceRecord],
                now: float, poisoned: bool = False) -> CacheEntry:
         """Cache the records of one response under (name, rtype).
 
@@ -88,7 +98,7 @@ class DNSCache:
         if self.max_ttl is not None:
             ttl = min(ttl, self.max_ttl)
         ttl = max(ttl, self.min_ttl)
-        entry = CacheEntry(records=list(records), inserted_at=now, ttl=ttl, poisoned=poisoned)
+        entry = CacheEntry(records=tuple(records), inserted_at=now, ttl=ttl, poisoned=poisoned)
         self._entries[self._key(name, rtype)] = entry
         self.stats.insertions += 1
         if poisoned:

@@ -12,10 +12,20 @@ non-fragmented DNS response".
 from __future__ import annotations
 
 import enum
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .records import RecordClass, RecordType, ResourceRecord, opt_record
+from .records import (
+    MAX_TTL,
+    RECORD_TYPES,
+    TTL_FIELD_OFFSET,
+    RecordClass,
+    RecordType,
+    ResourceRecord,
+    opt_record,
+)
 from .wire import (
     WireFormatError,
     apply_case_pattern,
@@ -23,11 +33,22 @@ from .wire import (
     encode_name,
     extract_case_pattern,
     normalise_name,
-    pack_uint16,
-    unpack_uint16,
 )
 
 DNS_HEADER_SIZE = 12
+#: RFC 1035 §4.1.1 header: ID, flags, QDCOUNT, ANCOUNT, NSCOUNT, ARCOUNT.
+HEADER = struct.Struct(">6H")
+#: QTYPE and QCLASS after the question name.
+QUESTION_FIELDS = struct.Struct(">HH")
+#: A TTL field.
+TTL_FIELD = struct.Struct(">I")
+#: Header flag bits.
+QR_FLAG = 0x8000
+AA_FLAG = 0x0400
+TC_FLAG = 0x0200
+RD_FLAG = 0x0100
+RA_FLAG = 0x0080
+RCODE_MASK = 0x000F
 #: Header flag marking the presence of a DNS-cookie block (the reserved Z
 #: bit, repurposed by the simulation — see :class:`DNSMessage.cookie`).
 COOKIE_FLAG = 0x0040
@@ -53,6 +74,10 @@ class ResponseCode(enum.IntEnum):
     SERVFAIL = 2
     NXDOMAIN = 3
     REFUSED = 5
+
+
+#: Wire RCODE value -> :class:`ResponseCode`; a value not in it is malformed.
+RESPONSE_CODES = {rcode.value: rcode for rcode in ResponseCode}
 
 
 class Opcode(enum.IntEnum):
@@ -160,54 +185,72 @@ class DNSMessage:
     def flags(self) -> int:
         value = 0
         if self.is_response:
-            value |= 0x8000
+            value |= QR_FLAG
         if self.authoritative:
-            value |= 0x0400
+            value |= AA_FLAG
         if self.truncated:
-            value |= 0x0200
+            value |= TC_FLAG
         if self.recursion_desired:
-            value |= 0x0100
+            value |= RD_FLAG
         if self.recursion_available:
-            value |= 0x0080
+            value |= RA_FLAG
         if self.cookie is not None:
             value |= COOKIE_FLAG
-        value |= int(self.rcode) & 0x000F
+        value |= int(self.rcode) & RCODE_MASK
         return value
 
-    def encode(self) -> bytes:
-        """Serialise to wire bytes with name compression.
-
-        The wire form is memoised on the instance: the message is frozen, so
-        its bytes never change, and attack hot paths (spoofed-response
-        bursts, repeated hijack answers) encode the same message many times.
-        """
-        cached = self.__dict__.get("_wire")
-        if cached is not None:
-            return cached
-        out = bytearray()
-        out += pack_uint16(self.transaction_id)
-        out += pack_uint16(self.flags())
-        out += pack_uint16(1)
-        out += pack_uint16(len(self.answers))
-        out += pack_uint16(len(self.authority))
-        out += pack_uint16(len(self.additional))
-        compression: dict = {}
+    def _encode_question(self, out: bytearray, compression: Optional[dict]) -> None:
+        """Append the question — 0x20-cased name, QTYPE, QCLASS — and the cookie."""
         name_start = len(out)
-        out += encode_name(self.question.name, compression, len(out))
+        out += encode_name(self.question.name, compression, name_start)
         if self.case_nonce:
             # The compression map is keyed on the canonical lower-case name;
             # only the emitted bytes change case, so pointers still resolve.
             out[name_start:] = apply_case_pattern(bytes(out[name_start:]), self.case_nonce)
-        out += pack_uint16(int(self.question.qtype))
-        out += pack_uint16(int(self.question.qclass))
+        try:
+            out += QUESTION_FIELDS.pack(self.question.qtype, self.question.qclass)
+        except struct.error:
+            raise WireFormatError(f"question field out of range: {self.question}") from None
         if self.cookie is not None:
             out += self.cookie.to_bytes(COOKIE_SIZE, "big")
+
+    def encode(self) -> bytes:
+        """Serialise to wire bytes with name compression."""
+        try:
+            out = bytearray(HEADER.pack(self.transaction_id, self.flags(), 1, len(self.answers),
+                                        len(self.authority), len(self.additional)))
+        except struct.error:
+            raise WireFormatError("header field out of range") from None
+        compression: dict = {}
+        self._encode_question(out, compression)
         for section in (self.answers, self.authority, self.additional):
             for record in section:
                 out += record.encode(compression, len(out))
-        wire = bytes(out)
-        object.__setattr__(self, "_wire", wire)
-        return wire
+        return bytes(out)
+
+    def cache_hit_reply(self, records: Sequence[ResourceRecord], ttl: int,
+                        sections: dict[tuple[str, int], AnswerSection]) -> bytes:
+        """Wire reply to this query from cached ``records``, stamped with ``ttl``.
+
+        Byte-identical to ``self.make_response([r.with_ttl(ttl) for r in
+        records], authoritative=False).encode()``, but the answer section
+        is encoded once per layout (see :class:`AnswerSection`) and kept in
+        ``sections``, the caller's store for these records; each reply then
+        costs a header, this query's question and the stored section with
+        ``ttl`` written into it.
+        """
+        if not 0 <= ttl <= MAX_TTL:
+            raise WireFormatError(f"TTL out of range: {ttl}")
+        # make_response: QR and RA set, AA and RCODE cleared, the rest echoed.
+        flags = (self.flags() & ~(AA_FLAG | RCODE_MASK)) | QR_FLAG | RA_FLAG
+        out = bytearray(HEADER.pack(self.transaction_id, flags, 1, len(records), 0, 1))
+        self._encode_question(out, None)
+        layout = (self.question.name, len(out))
+        section = sections.get(layout)
+        if section is None:
+            section = sections[layout] = AnswerSection.encode(records, *layout)
+        out += section.with_ttl(ttl)
+        return bytes(out)
 
     @property
     def wire_size(self) -> int:
@@ -216,53 +259,93 @@ class DNSMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> DNSMessage:
-        """Parse wire bytes back into a message (single-question only)."""
+        """Parse wire bytes back into a message (single-question only).
+
+        Total: returns a message or raises :class:`WireFormatError`.
+        """
         if len(data) < DNS_HEADER_SIZE:
             raise WireFormatError("truncated DNS header")
-        transaction_id = unpack_uint16(data, 0)
-        flags = unpack_uint16(data, 2)
-        qdcount = unpack_uint16(data, 4)
-        ancount = unpack_uint16(data, 6)
-        nscount = unpack_uint16(data, 8)
-        arcount = unpack_uint16(data, 10)
+        transaction_id, flags, qdcount, ancount, nscount, arcount = HEADER.unpack_from(data)
         if qdcount != 1:
             raise WireFormatError(f"unsupported question count: {qdcount}")
-        offset = DNS_HEADER_SIZE
-        qname, offset = decode_name(data, offset)
+        rcode = RESPONSE_CODES.get(flags & RCODE_MASK)
+        if rcode is None:
+            raise WireFormatError(f"unknown rcode {flags & RCODE_MASK}")
+        names: dict[int, str] = {}
+        qname, offset = decode_name(data, DNS_HEADER_SIZE, names)
         nonce, _ = extract_case_pattern(data[DNS_HEADER_SIZE:offset])
-        qtype = RecordType(unpack_uint16(data, offset))
-        qclass = unpack_uint16(data, offset + 2)
-        offset += 4
+        if offset + QUESTION_FIELDS.size > len(data):
+            raise WireFormatError("truncated question")
+        code, qclass = QUESTION_FIELDS.unpack_from(data, offset)
+        qtype = RECORD_TYPES.get(code)
+        if qtype is None:
+            raise WireFormatError(f"unknown question type {code}")
+        offset += QUESTION_FIELDS.size
         cookie: Optional[int] = None
         if flags & COOKIE_FLAG:
             if offset + COOKIE_SIZE > len(data):
                 raise WireFormatError("truncated cookie block")
             cookie = int.from_bytes(data[offset:offset + COOKIE_SIZE], "big")
             offset += COOKIE_SIZE
-        sections: list[list[ResourceRecord]] = []
+        sections: list[tuple[ResourceRecord, ...]] = []
         for count in (ancount, nscount, arcount):
             records: list[ResourceRecord] = []
             for _ in range(count):
-                record, offset = ResourceRecord.decode(data, offset)
+                record, offset = ResourceRecord.decode(data, offset, names)
                 records.append(record)
-            sections.append(records)
+            sections.append(tuple(records))
         return cls(
             transaction_id=transaction_id,
             question=Question(name=qname, qtype=qtype, qclass=qclass),
-            is_response=bool(flags & 0x8000),
-            answers=tuple(sections[0]),
-            authority=tuple(sections[1]),
-            additional=tuple(sections[2]),
-            rcode=ResponseCode(flags & 0x000F),
-            recursion_desired=bool(flags & 0x0100),
-            recursion_available=bool(flags & 0x0080),
-            authoritative=bool(flags & 0x0400),
-            truncated=bool(flags & 0x0200),
+            is_response=bool(flags & QR_FLAG),
+            answers=sections[0],
+            authority=sections[1],
+            additional=sections[2],
+            rcode=rcode,
+            recursion_desired=bool(flags & RD_FLAG),
+            recursion_available=bool(flags & RA_FLAG),
+            authoritative=bool(flags & AA_FLAG),
+            truncated=bool(flags & TC_FLAG),
             cookie=cookie,
             # All-lowercase decodes to None so that cookie-less, case-less
             # messages round-trip to objects equal to their originals.
             case_nonce=nonce or None,
         )
+
+
+@dataclass(frozen=True)
+class AnswerSection:
+    """A cache-hit reply's answers plus its EDNS OPT record, encoded once.
+
+    The bytes depend only on the layout — the question name the section
+    follows (its suffixes seed the compression map) and the offset the
+    section starts at — and on the records; a reply's TTL is the one thing
+    that varies between hits.  ``pieces`` is the encoded section cut around
+    each answer's TTL field, so stamping a TTL is a single join.
+    """
+
+    pieces: tuple[bytes, ...]
+
+    @classmethod
+    def encode(cls, records: Sequence[ResourceRecord], question_name: str,
+               start: int) -> AnswerSection:
+        """Encode ``records`` and an OPT record as :meth:`DNSMessage.encode` does."""
+        compression: dict = {}
+        encode_name(question_name, compression, DNS_HEADER_SIZE)
+        wire = bytearray()
+        ttl_offsets = []
+        for record in records:
+            wire += encode_name(record.name, compression, start + len(wire))
+            ttl_offsets.append(len(wire) + TTL_FIELD_OFFSET)
+            wire += record.encode_fields()
+        wire += opt_record().encode(compression, start + len(wire))
+        starts = [0, *(offset + TTL_FIELD.size for offset in ttl_offsets)]
+        ends = [*ttl_offsets, len(wire)]
+        return cls(tuple(bytes(wire[a:b]) for a, b in zip(starts, ends)))
+
+    def with_ttl(self, ttl: int) -> bytes:
+        """The section with every answer's TTL set to ``ttl``."""
+        return TTL_FIELD.pack(ttl).join(self.pieces)
 
 
 def response_size_for_a_records(qname: str, record_count: int, with_edns: bool = True) -> int:

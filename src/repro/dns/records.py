@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
+from socket import inet_ntoa
+from typing import Optional
 
-from ..netsim.addresses import int_to_ip, ip_to_int
-from .wire import (
-    WireFormatError,
-    decode_name,
-    encode_name,
-    normalise_name,
-    pack_uint16,
-    pack_uint32,
-    unpack_uint16,
-    unpack_uint32,
-)
+from ..netsim.addresses import ip_to_bytes
+from .wire import WireFormatError, decode_name, encode_name, normalise_name
+
+#: TYPE, CLASS, TTL and RDLENGTH: the fixed fields after an RR's owner name.
+RR_FIXED = struct.Struct(">HHIH")
+#: Where the TTL sits inside those fixed fields.
+TTL_FIELD_OFFSET = 4
+MAX_TTL = 0x7FFFFFFF
 
 
 class RecordType(enum.IntEnum):
@@ -34,6 +34,10 @@ class RecordType(enum.IntEnum):
     TXT = 16
     AAAA = 28
     OPT = 41
+
+
+#: Wire TYPE value -> :class:`RecordType`; a value not in it is malformed.
+RECORD_TYPES = {rtype.value: rtype for rtype in RecordType}
 
 
 class RecordClass(enum.IntEnum):
@@ -66,7 +70,7 @@ class ResourceRecord:
     rclass: int = RecordClass.IN
 
     def __post_init__(self) -> None:
-        if self.ttl < 0 or self.ttl > 0x7FFFFFFF:
+        if self.ttl < 0 or self.ttl > MAX_TTL:
             raise WireFormatError(f"TTL out of range: {self.ttl}")
         object.__setattr__(self, "name", normalise_name(self.name))
 
@@ -83,7 +87,7 @@ class ResourceRecord:
     def rdata_bytes(self) -> bytes:
         """Encode the RDATA portion for this record type."""
         if self.rtype == RecordType.A:
-            return ip_to_int(self.rdata).to_bytes(4, "big")
+            return ip_to_bytes(self.rdata)
         if self.rtype in (RecordType.NS, RecordType.CNAME):
             # Name compression inside RDATA is legal but not used here; the
             # size impact is irrelevant for the experiments (NS answers are
@@ -98,39 +102,52 @@ class ResourceRecord:
             return b""
         raise WireFormatError(f"unsupported record type {self.rtype}")
 
+    def encode_fields(self) -> bytes:
+        """Everything after the owner name: the fixed fields, then RDATA.
+
+        The TTL is the four bytes at :data:`TTL_FIELD_OFFSET`.
+        """
+        rdata = self.rdata_bytes()
+        try:
+            fixed = RR_FIXED.pack(self.rtype, self.rclass, self.ttl, len(rdata))
+        except struct.error:
+            raise WireFormatError(f"RR field out of range in {self!r}") from None
+        return fixed + rdata
+
     def encode(self, compression: dict, offset: int) -> bytes:
         """Encode the full RR, updating the compression map."""
-        out = bytearray()
-        out += encode_name(self.name, compression, offset)
-        out += pack_uint16(int(self.rtype))
-        out += pack_uint16(int(self.rclass))
-        out += pack_uint32(self.ttl)
-        rdata = self.rdata_bytes()
-        out += pack_uint16(len(rdata))
-        out += rdata
-        return bytes(out)
+        return encode_name(self.name, compression, offset) + self.encode_fields()
 
     @classmethod
-    def decode(cls, data: bytes, offset: int) -> tuple["ResourceRecord", int]:
-        """Decode one RR starting at ``offset``; returns (record, next_offset)."""
-        name, offset = decode_name(data, offset)
-        rtype = RecordType(unpack_uint16(data, offset))
-        rclass = unpack_uint16(data, offset + 2)
-        ttl = unpack_uint32(data, offset + 4)
-        rdlength = unpack_uint16(data, offset + 8)
-        rdata_start = offset + 10
+    def decode(cls, data: bytes, offset: int,
+               names: Optional[dict[int, str]] = None) -> tuple[ResourceRecord, int]:
+        """Decode one RR starting at ``offset``; returns (record, next_offset).
+
+        ``names`` is the message's name table (see :func:`decode_name`).
+        """
+        name, offset = decode_name(data, offset, names)
+        rdata_start = offset + RR_FIXED.size
+        if rdata_start > len(data):
+            raise WireFormatError("truncated RR header")
+        code, rclass, ttl, rdlength = RR_FIXED.unpack_from(data, offset)
+        rtype = RECORD_TYPES.get(code)
+        if rtype is None:
+            raise WireFormatError(f"unknown record type {code}")
         rdata_end = rdata_start + rdlength
         if rdata_end > len(data):
             raise WireFormatError("truncated RDATA")
-        raw = data[rdata_start:rdata_end]
         if rtype == RecordType.A:
             if rdlength != 4:
                 raise WireFormatError("A record RDATA must be 4 bytes")
-            rdata = int_to_ip(int.from_bytes(raw, "big"))
+            rdata = inet_ntoa(data[rdata_start:rdata_end])
         elif rtype in (RecordType.NS, RecordType.CNAME):
-            rdata, _ = decode_name(data, rdata_start)
+            rdata, _ = decode_name(data, rdata_start, names)
         elif rtype == RecordType.TXT:
-            rdata = raw[1:1 + raw[0]].decode("ascii") if raw else ""
+            raw = data[rdata_start:rdata_end]
+            text = raw[1:1 + raw[0]] if raw else b""
+            if not text.isascii():
+                raise WireFormatError("non-ASCII TXT string")
+            rdata = text.decode("ascii")
         elif rtype == RecordType.OPT:
             rdata = ""
         else:

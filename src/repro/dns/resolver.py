@@ -38,7 +38,7 @@ from .cache import DNSCache
 from .message import DNSMessage, ResponseCode
 from .nameserver import DNS_PORT
 from .records import RecordType
-from .wire import normalise_name
+from .wire import WireFormatError, normalise_name
 
 #: Callback invoked with the answer addresses (possibly empty on failure).
 LookupCallback = Callable[[list[str]], None]
@@ -228,7 +228,7 @@ class RecursiveResolver(Host):
     def handle_datagram(self, datagram: UDPDatagram) -> None:
         try:
             message = DNSMessage.decode(datagram.payload)
-        except Exception:
+        except WireFormatError:
             return
         if message.is_response:
             self._handle_upstream_response(datagram, message)
@@ -248,10 +248,8 @@ class RecursiveResolver(Host):
             self.queries_answered_from_cache += 1
             if self._obs.enabled:
                 self._obs.metrics.counter("dns.cache_hits").inc()
-            now = self.network.simulator.now
-            answers = [record.with_ttl(cached.remaining_ttl(now)) for record in cached.records]
-            response = query.make_response(answers, authoritative=False)
-            self._reply_to_client(datagram.src_ip, datagram.src_port, response)
+            reply = cached.reply(query, cached.remaining_ttl(self.network.simulator.now))
+            self._send_to_client(datagram.src_ip, datagram.src_port, reply)
             return
         if self.policy.serve_stale:
             stale = self.cache.lookup_stale(query.question.name, query.question.qtype,
@@ -267,9 +265,8 @@ class RecursiveResolver(Host):
                     self._obs.trace.instant("dns.cache.stale_answer", category="dns",
                                             qname=query.question.name,
                                             poisoned=stale.poisoned)
-                answers = [record.with_ttl(STALE_ANSWER_TTL) for record in stale.records]
-                response = query.make_response(answers, authoritative=False)
-                self._reply_to_client(datagram.src_ip, datagram.src_port, response)
+                reply = stale.reply(query, STALE_ANSWER_TTL)
+                self._send_to_client(datagram.src_ip, datagram.src_port, reply)
                 self._refresh_if_idle(query.question.name, query.question.qtype)
                 return
         self._forward_upstream(query, datagram.src_ip, datagram.src_port)
@@ -283,13 +280,16 @@ class RecursiveResolver(Host):
         self._forward_upstream(synthetic, None, None)
 
     def _reply_to_client(self, client_address: str, client_port: int, response: DNSMessage) -> None:
+        self._send_to_client(client_address, client_port, response.encode())
+
+    def _send_to_client(self, client_address: str, client_port: int, payload: bytes) -> None:
         self.send_datagram(
             UDPDatagram(
                 src_ip=self.address,
                 dst_ip=client_address,
                 src_port=DNS_PORT,
                 dst_port=client_port,
-                payload=response.encode(),
+                payload=payload,
             )
         )
 
@@ -582,7 +582,7 @@ class DNSStub:
             return False
         try:
             response = DNSMessage.decode(datagram.payload)
-        except Exception:
+        except WireFormatError:
             return False
         if not response.is_response:
             return False

@@ -65,7 +65,7 @@ from ..netsim.transport import (
 )
 from .message import DNSMessage
 from .nameserver import DNS_PORT, AuthoritativeNameserver
-from .wire import normalise_name
+from .wire import WireFormatError, normalise_name
 
 if TYPE_CHECKING:
     from .resolver import PendingUpstreamQuery, RecursiveResolver
@@ -216,7 +216,7 @@ class DNSServerTransport:
             for wire in decoder.feed(data):
                 try:
                     query = DNSMessage.decode(wire)
-                except Exception:  # noqa: PERF203 — per-frame garbage tolerance
+                except WireFormatError:
                     continue
                 if query.is_response:
                     continue
@@ -338,7 +338,7 @@ class PooledConnection:
         for wire in self.decoder.feed(data):
             try:
                 response = DNSMessage.decode(wire)
-            except Exception:  # noqa: PERF203 — per-frame garbage tolerance
+            except WireFormatError:
                 continue
             key = (response.transaction_id,
                    normalise_name(response.question.name))
@@ -606,7 +606,7 @@ class ResolverUpstreamTransport:
             for wire in decoder.feed(data):
                 try:
                     response = DNSMessage.decode(wire)
-                except Exception:  # noqa: PERF203 — per-frame garbage tolerance
+                except WireFormatError:
                     continue
                 socket.close()
                 self._deliver(pending, response, wire)

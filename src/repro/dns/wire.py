@@ -15,11 +15,16 @@ Both are computed from the byte layout implemented here, not hard-coded.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import struct
+from typing import Optional
 
 MAX_LABEL_LENGTH = 63
 MAX_NAME_LENGTH = 255
 POINTER_FLAG = 0xC0
+#: A compression pointer: the two top bits set, then a 14-bit offset.
+_POINTER = struct.Struct(">H")
+#: Largest offset a compression pointer can reach.
+MAX_POINTER_OFFSET = 0x3FFF
 
 
 class WireFormatError(ValueError):
@@ -36,66 +41,61 @@ def normalise_name(name: str) -> str:
     return name.rstrip(".").lower()
 
 
-@lru_cache(maxsize=4096)
-def _validated_labels(name: str) -> tuple[str, ...]:
-    """Split an already-normalised name into validated labels.
-
-    Cached because experiments encode the same handful of names (the zone
-    apex, sub-pools, attacker decoys) millions of times per sweep; splitting
-    and re-validating per encode dominated the encode path.
-    """
+def _split_labels(name: str) -> list[str]:
+    """Split an already-normalised name into validated labels."""
     if not name:
-        return ()
-    labels = tuple(name.split("."))
+        return []
+    if not name.isascii():
+        raise WireFormatError(f"non-ASCII name: {name!r}")
+    labels = name.split(".")
     for label in labels:
         if not label:
             raise WireFormatError(f"empty label in {name!r}")
         if len(label) > MAX_LABEL_LENGTH:
             raise WireFormatError(f"label too long in {name!r}")
-    encoded_length = sum(len(label) + 1 for label in labels) + 1
-    if encoded_length > MAX_NAME_LENGTH:
+    if len(name) + 2 > MAX_NAME_LENGTH:
+        # The wire form is one length byte per label plus the root byte:
+        # len(name) + 2 once the dots are counted as length bytes.
         raise WireFormatError(f"name too long: {name!r}")
     return labels
 
 
 def name_to_labels(name: str) -> list[str]:
     """Split a domain name into its labels, validating lengths."""
-    return list(_validated_labels(normalise_name(name)))
+    return _split_labels(normalise_name(name))
 
 
-def encode_name(name: str, compression: dict[str, int] = None, offset: int = 0) -> bytes:
+def encode_name(name: str, compression: Optional[dict[str, int]] = None,
+                offset: int = 0) -> bytes:
     """Encode a domain name, optionally using/updating a compression map.
 
     ``compression`` maps a (normalised) name suffix to the wire offset where
     it was first written.  When a suffix is already present a 2-byte pointer
     is emitted instead, which is how a real response packs 89 A records whose
-    owner name is all the same.
+    owner name is all the same.  A name already in the map is answered with
+    its pointer straight away: it was validated when it was first written.
     """
-    if compression is None:
-        return _plain_name_wire(normalise_name(name))
-    labels = name_to_labels(name)
+    name = normalise_name(name)
+    if compression is not None:
+        pointer = compression.get(name)
+        if pointer is not None:
+            return _POINTER.pack(0xC000 | pointer)
     out = bytearray()
-    for index in range(len(labels)):
-        suffix = ".".join(labels[index:])
-        if suffix in compression:
-            pointer = compression[suffix]
-            out += bytes([POINTER_FLAG | (pointer >> 8), pointer & 0xFF])
-            return bytes(out)
-        if offset + len(out) <= 0x3FFF:
-            compression[suffix] = offset + len(out)
-        label = labels[index]
-        out += bytes([len(label)]) + label.encode("ascii")
-    out += b"\x00"
-    return bytes(out)
-
-
-@lru_cache(maxsize=4096)
-def _plain_name_wire(name: str) -> bytes:
-    """Uncompressed wire encoding of an already-normalised name (cached)."""
-    out = bytearray()
-    for label in _validated_labels(name):
-        out += bytes([len(label)]) + label.encode("ascii")
-    out += b"\x00"
+    start = 0
+    for label in _split_labels(name):
+        if compression is not None:
+            suffix = name[start:]
+            if start:
+                pointer = compression.get(suffix)
+                if pointer is not None:
+                    out += _POINTER.pack(0xC000 | pointer)
+                    return bytes(out)
+            if offset + len(out) <= MAX_POINTER_OFFSET:
+                compression[suffix] = offset + len(out)
+        out.append(len(label))
+        out += label.encode("ascii")
+        start += len(label) + 1
+    out.append(0)
     return bytes(out)
 
 
@@ -107,46 +107,70 @@ def encoded_name_length(name: str, compressed: bool) -> int:
     return sum(len(label) + 1 for label in labels) + 1
 
 
-def decode_name(data: bytes, offset: int) -> tuple[str, int]:
+def decode_name(data: bytes, offset: int,
+                names: Optional[dict[int, str]] = None) -> tuple[str, int]:
     """Decode a (possibly compressed) name starting at ``offset``.
 
     Returns ``(name, next_offset)`` where ``next_offset`` is the offset just
     past the name *in the original position* (pointers do not advance it
     beyond the 2 pointer bytes).
+
+    ``names`` is an optional per-message table from offset to the name
+    decoded there: a pointer to an offset already in it is resolved from
+    the table, and ``offset`` and every pointer target this call follows
+    are added to it.  A response whose 89 owner names all point at the
+    question decodes that name once.  Decoding from an offset is
+    context-free, so the table never changes a result.
     """
     labels: list[str] = []
     position = offset
-    jumped = False
-    next_offset = offset
-    seen_pointers = set()
+    next_offset = -1
+    seen_pointers: set[int] = set()
+    # (pointer target, labels decoded before the jump), for the table.
+    targets: list[tuple[int, int]] = []
+    size = len(data)
     while True:
-        if position >= len(data):
+        if position >= size:
             raise WireFormatError("truncated name")
         length = data[position]
-        if length & POINTER_FLAG == POINTER_FLAG:
-            if position + 1 >= len(data):
+        if length >= POINTER_FLAG:
+            if position + 1 >= size:
                 raise WireFormatError("truncated compression pointer")
             pointer = ((length & 0x3F) << 8) | data[position + 1]
+            if next_offset < 0:
+                next_offset = position + 2
+            if names is not None:
+                known = names.get(pointer)
+                if known is not None:
+                    if known:
+                        labels.append(known)
+                    break
+                targets.append((pointer, len(labels)))
             if pointer in seen_pointers:
                 raise WireFormatError("compression pointer loop")
             seen_pointers.add(pointer)
-            if not jumped:
-                next_offset = position + 2
-                jumped = True
             position = pointer
             continue
         if length & POINTER_FLAG:
             raise WireFormatError(f"reserved label type 0x{length:02x}")
         position += 1
         if length == 0:
-            if not jumped:
+            if next_offset < 0:
                 next_offset = position
             break
-        if position + length > len(data):
+        if position + length > size:
             raise WireFormatError("truncated label")
-        labels.append(data[position:position + length].decode("ascii"))
+        label = data[position:position + length]
+        if not label.isascii():
+            raise WireFormatError("non-ASCII label")
+        labels.append(label.decode("ascii"))
         position += length
-    return ".".join(labels), next_offset
+    name = ".".join(labels)
+    if names is not None:
+        names[offset] = name
+        for target, start in targets:
+            names[target] = ".".join(labels[start:])
+    return name, next_offset
 
 
 def apply_case_pattern(name_bytes: bytes, nonce: int) -> bytes:
@@ -198,27 +222,3 @@ def extract_case_pattern(name_bytes: bytes) -> tuple[int, int]:
 def letter_count(name: str) -> int:
     """Number of alphabetic characters in a name (the 0x20 entropy in bits)."""
     return sum(1 for char in normalise_name(name) if char.isalpha())
-
-
-def pack_uint16(value: int) -> bytes:
-    if not 0 <= value <= 0xFFFF:
-        raise WireFormatError(f"uint16 out of range: {value}")
-    return value.to_bytes(2, "big")
-
-
-def pack_uint32(value: int) -> bytes:
-    if not 0 <= value <= 0xFFFFFFFF:
-        raise WireFormatError(f"uint32 out of range: {value}")
-    return value.to_bytes(4, "big")
-
-
-def unpack_uint16(data: bytes, offset: int) -> int:
-    if offset + 2 > len(data):
-        raise WireFormatError("truncated uint16")
-    return int.from_bytes(data[offset:offset + 2], "big")
-
-
-def unpack_uint32(data: bytes, offset: int) -> int:
-    if offset + 4 > len(data):
-        raise WireFormatError("truncated uint32")
-    return int.from_bytes(data[offset:offset + 4], "big")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from socket import inet_aton, inet_ntoa
 
 
 class AddressError(ValueError):
@@ -30,6 +31,24 @@ def ip_to_int(address: str) -> int:
             raise AddressError(f"octet out of range in {address!r}")
         value = (value << 8) | octet
     return value
+
+
+def ip_to_bytes(address: str) -> bytes:
+    """The four network-order bytes of a dotted-quad IPv4 address.
+
+    Accepts and rejects exactly what :func:`ip_to_int` does.  A canonical
+    address (what ``inet_ntoa`` prints back unchanged) takes the C fast
+    path; anything else — leading zeros, which ``ip_to_int`` reads as
+    decimal, or the short and hex forms ``inet_aton`` would wrongly accept
+    — goes through :func:`ip_to_int`, so its errors are the errors.
+    """
+    try:
+        packed = inet_aton(address)
+    except (OSError, TypeError, ValueError):
+        packed = None
+    if packed is not None and inet_ntoa(packed) == address:
+        return packed
+    return ip_to_int(address).to_bytes(4, "big")
 
 
 def int_to_ip(value: int) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .addresses import ip_to_int
+from .addresses import ip_to_bytes
 
 IPV4_HEADER_SIZE = 20
 UDP_HEADER_SIZE = 8
@@ -53,8 +53,8 @@ def udp_checksum(src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload
     """
     length = UDP_HEADER_SIZE + len(payload)
     data = (
-        ip_to_int(src_ip).to_bytes(4, "big")
-        + ip_to_int(dst_ip).to_bytes(4, "big")
+        ip_to_bytes(src_ip)
+        + ip_to_bytes(dst_ip)
         + bytes([0, PROTO_UDP])
         + length.to_bytes(2, "big")
         + src_port.to_bytes(2, "big")

@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import math
+import struct
+from dataclasses import replace
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.security_analysis import hypergeometric_pmf, hypergeometric_tail
 from repro.core.selection import ChronosConfig, chronos_select, panic_select, trim_offsets
+from repro.dns.cache import DNSCache
 from repro.dns.message import (
     DNSMessage,
     max_a_records_for_payload,
     response_size_for_a_records,
 )
-from repro.dns.records import a_record
-from repro.dns.wire import decode_name, encode_name
-from repro.netsim.addresses import int_to_ip, ip_to_int
+from repro.dns.records import RecordType, ResourceRecord, a_record
+from repro.dns.wire import WireFormatError, decode_name, encode_name, letter_count
+from repro.netsim.addresses import int_to_ip, ip_to_bytes, ip_to_int
 from repro.netsim.fragmentation import ReassemblyBuffer, fragment_datagram
 from repro.netsim.packets import UDPDatagram
 from repro.ntp.packet import NTPMode, NTPPacket
@@ -29,6 +33,38 @@ ip_addresses = st.integers(min_value=0, max_value=0xFFFFFFFF).map(int_to_ip)
 labels = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1,
                  max_size=20).filter(lambda s: not s.startswith("-"))
 domain_names = st.lists(labels, min_size=1, max_size=4).map(".".join)
+
+cookies = st.one_of(st.none(), st.integers(min_value=0, max_value=2 ** 64 - 1))
+case_nonces = st.integers(min_value=0, max_value=2 ** 32 - 1)
+ttls = st.integers(min_value=0, max_value=2 ** 31 - 1)
+
+
+@st.composite
+def other_records(draw, owner):
+    """An NS, CNAME or TXT record, owned by the question name or another name."""
+    name = draw(st.one_of(st.just(owner), domain_names,
+                          domain_names.map(lambda label: f"{label}.{owner}")))
+    rtype = draw(st.sampled_from([RecordType.NS, RecordType.CNAME, RecordType.TXT]))
+    rdata = draw(st.text(alphabet="abc xyz", max_size=30) if rtype == RecordType.TXT
+                 else domain_names)
+    return ResourceRecord(name=name, rtype=rtype, ttl=draw(ttls), rdata=rdata)
+
+
+@st.composite
+def cached_answers(draw):
+    """A question name and 0-89 A records, optionally mixed with NS/CNAME/TXT."""
+    owner = draw(domain_names)
+    records = [a_record(owner, int_to_ip(draw(st.integers(0, 0xFFFFFFFF))), draw(ttls))
+               for _ in range(draw(st.integers(min_value=0, max_value=89)))]
+    for record in draw(st.lists(other_records(owner), max_size=4)):
+        records.insert(draw(st.integers(min_value=0, max_value=len(records))), record)
+    return owner, records
+
+
+def query_for(name, txid, cookie, nonce, **flags):
+    return replace(DNSMessage.query(txid, name), cookie=cookie, case_nonce=nonce or None,
+                   **flags)
+
 
 offsets = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
 
@@ -45,6 +81,26 @@ def test_ip_string_roundtrip(address):
     assert int_to_ip(ip_to_int(address)) == address
 
 
+@given(text=st.one_of(ip_addresses, st.text(alphabet="0123456789.x -", max_size=16),
+                     st.text(max_size=16)))
+@example("1")
+@example("1.2.3")
+@example("0x1.2.3.4")
+@example("01.2.3.4")
+@example("1.2.3.4 ")
+@example("1.2.3.256")
+@example("\u0663.1.1.1")
+@example("1.2.3.4\x00")
+def test_ip_to_bytes_accepts_exactly_what_ip_to_int_accepts(text):
+    try:
+        expected = ip_to_int(text).to_bytes(4, "big")
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            ip_to_bytes(text)
+    else:
+        assert ip_to_bytes(text) == expected
+
+
 # -- DNS names and messages ------------------------------------------------------------------
 
 @given(name=domain_names)
@@ -54,10 +110,10 @@ def test_name_encode_decode_roundtrip(name):
     assert consumed == len(encode_name(name))
 
 
-@given(name=domain_names, count=st.integers(min_value=0, max_value=60),
-       ttl=st.integers(min_value=0, max_value=2 ** 31 - 1))
-def test_dns_response_roundtrip(name, count, ttl):
-    query = DNSMessage.query(0x0102, name)
+@given(name=domain_names, count=st.integers(min_value=0, max_value=60), ttl=ttls,
+       cookie=cookies, nonce=case_nonces)
+def test_dns_response_roundtrip(name, count, ttl, cookie, nonce):
+    query = query_for(name, 0x0102, cookie, nonce)
     answers = [a_record(name, int_to_ip(1000 + i), ttl) for i in range(count)]
     response = query.make_response(answers)
     decoded = DNSMessage.decode(response.encode())
@@ -66,6 +122,59 @@ def test_dns_response_roundtrip(name, count, ttl):
     assert len(decoded.answers) == count
     assert all(rr.ttl == ttl for rr in decoded.answers)
     assert decoded.answer_addresses == [int_to_ip(1000 + i) for i in range(count)]
+    assert decoded.cookie == cookie
+    # The nonce survives up to the name's letter count: one case bit per letter.
+    echoed = nonce & ((1 << letter_count(name)) - 1)
+    assert decoded == replace(response, case_nonce=echoed or None)
+    assert decoded.encode() == response.encode()
+
+
+@given(data=st.one_of(
+    st.binary(max_size=600),
+    # A header announcing exactly one question gets past the first check.
+    st.builds(lambda head, tail: struct.pack(">HHH", *head, 1) + tail,
+              st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)),
+              st.binary(max_size=600))))
+def test_decode_is_total_on_arbitrary_bytes(data):
+    try:
+        DNSMessage.decode(data)
+    except WireFormatError:
+        pass
+
+
+@given(answers=cached_answers(), cookie=cookies, nonce=case_nonces,
+       mutations=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+                          min_size=1, max_size=4),
+       cut=st.one_of(st.none(), st.integers(min_value=0)))
+def test_decode_is_total_on_mutated_responses(answers, cookie, nonce, mutations, cut):
+    name, records = answers
+    wire = bytearray(query_for(name, 7, cookie, nonce).make_response(records).encode())
+    for position, value in mutations:
+        wire[position % len(wire)] = value
+    if cut is not None:
+        del wire[cut % len(wire):]
+    try:
+        DNSMessage.decode(bytes(wire))
+    except WireFormatError:
+        pass
+
+
+@given(answers=cached_answers(), ttl=ttls,
+       queries=st.lists(st.tuples(st.integers(0, 0xFFFF), cookies, case_nonces,
+                                  st.booleans(), st.booleans()),
+                        min_size=1, max_size=4))
+@settings(max_examples=60)
+def test_cache_hit_reply_is_byte_identical(answers, ttl, queries):
+    name, records = answers
+    if not records:
+        return  # the cache never holds an empty record set
+    entry = DNSCache().insert(name, RecordType.A, records, now=0.0)
+    # One entry answers every query: its sections must follow each layout.
+    for txid, cookie, nonce, rd, tc in queries * 2:
+        query = query_for(name, txid, cookie, nonce, recursion_desired=rd, truncated=tc)
+        expected = query.make_response([r.with_ttl(ttl) for r in records],
+                                       authoritative=False).encode()
+        assert entry.reply(query, ttl) == expected
 
 
 @given(name=domain_names, count=st.integers(min_value=0, max_value=120))
