@@ -55,7 +55,7 @@ def int_to_ip(value: int) -> str:
     """Convert a 32-bit integer to a dotted-quad IPv4 address."""
     if not 0 <= value <= 0xFFFFFFFF:
         raise AddressError(f"value out of IPv4 range: {value}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return inet_ntoa(value.to_bytes(4, "big"))
 
 
 def is_valid_ip(address: str) -> bool:

@@ -34,6 +34,7 @@ from statistics import mean
 from typing import Any, Optional
 
 from ..core.selection import ChronosConfig, SelectionStatus
+from ..dns.records import MAX_TTL
 
 #: Defaults mirroring the packet-level testbed (see ``experiments.testbed``).
 DEFAULT_BENIGN_PER_RESPONSE = 4
@@ -69,6 +70,9 @@ class FleetPolicy:
             raise ValueError("query_interval must be positive")
         if self.benign_per_response < 0 or self.attacker_records < 0:
             raise ValueError("record counts cannot be negative")
+        for name in ("benign_ttl", "malicious_ttl"):
+            if not 0 <= getattr(self, name) <= MAX_TTL:
+                raise ValueError(f"{name} must lie in [0, {MAX_TTL}] (a DNS TTL)")
 
     def accepted_per_response(self, records: int) -> int:
         cap = self.max_addresses_per_response

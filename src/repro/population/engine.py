@@ -17,6 +17,17 @@ event loop with three vectorizable stages:
    whenever ``benign_ttl < query_interval`` and resolvers serve single
    clients, the regime the equivalence gate runs).
 
+   The pure-python backend walks the time-sorted query events.  The numpy
+   backend computes the same misses without sorting: hits never refresh the
+   TTL, so a resolver's misses form a chain — its first query in the
+   window, then its first query at or after ``previous miss + benign_ttl``
+   (and strictly after the previous miss), until a miss lands at or after
+   ``hijack_start``.  Each step takes the minimum over the remaining events
+   of every resolver at once; a minimum is exact, and every event the walk
+   skips is a hit on the entry of the last miss, so both backends return
+   the same floats.  Usually the chain is one pre-window miss and the
+   poisoning.
+
 2. **Pool composition.**  Each client's effective poison query ``k`` follows
    from its start and its resolver's poison time; the composition is the
    closed form of :func:`repro.population.batch.batch_pool_composition`.
@@ -59,6 +70,10 @@ from .rng import CounterRNG, hypergeom_sampler, resolve_backend
 #: Counter-RNG stream ids (never reuse a stream for two purposes).
 STREAM_STAGGER = 1
 STREAM_SELECT = 2
+
+#: Group members whose selection draws the numpy path holds at once, which
+#: bounds memory when a whole cohort shares one composition.
+SHIFT_BLOCK = 1 << 14
 
 #: Attempts per update round: the initial sample plus ``max_retries``.
 def _attempts(config: ChronosConfig) -> int:
@@ -107,6 +122,11 @@ class FleetConfig:
             raise ValueError("population smaller than client_offset + clients")
         if self.explicit_starts is not None and len(self.explicit_starts) != total:
             raise ValueError("explicit_starts must cover the whole population")
+        for name in ("hijack_start", "hijack_duration", "stagger_window"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.stagger_window < 0:
+            raise ValueError("stagger_window cannot be negative")
         if self.hijack_duration <= 0:
             raise ValueError("hijack_duration must be positive")
         if self.update_rounds < 0:
@@ -163,42 +183,45 @@ def resolver_poison_times(config: FleetConfig,
     if cached is not None:
         return cached
 
-    interval = config.policy.query_interval
-    query_count = config.policy.query_count
+    if np is not None:
+        poisoned = _poison_times_by_miss_steps(config, np)
+    else:
+        poisoned = _poison_times_by_walk(config)
+    _POISON_MEMO[key] = poisoned
+    return poisoned
+
+
+def _walk_bounds(config: FleetConfig) -> tuple[float, float, float, int]:
+    """``(ttl, window_lo, window_hi, candidates)`` of the poison walk.
+
+    ``candidates`` bounds how many of one client's queries can land inside
+    ``[window_lo, window_hi)``.
+    """
     ttl = float(config.policy.benign_ttl)
     window_lo = config.hijack_start - ttl
     window_hi = config.hijack_start + config.hijack_duration
-    total = config.total_population
-    # Query offsets that can land inside the walk window per client.
-    candidates = int((window_hi - window_lo) // interval) + 2
+    candidates = int((window_hi - window_lo) // config.policy.query_interval) + 2
+    return ttl, window_lo, window_hi, candidates
 
+
+def _poison_times_by_walk(config: FleetConfig) -> dict[int, float]:
+    """The reference: a renewal walk over the time-ordered query events."""
+    interval = config.policy.query_interval
+    query_count = config.policy.query_count
+    ttl, window_lo, window_hi, candidates = _walk_bounds(config)
     events: list[tuple[int, float, int]] = []  # (resolver, time, gid)
-    if np is not None and config.explicit_starts is None and total > 0:
-        starts = _population_starts(config, 0, total, np)
-        gids = np.arange(total, dtype=np.int64)
-        first = np.maximum(np.ceil((window_lo - starts) / interval),
-                           0.0).astype(np.int64)
+    starts = _population_starts(config, 0, config.total_population, None)
+    for gid, start in enumerate(starts):
+        first = max(math.ceil((window_lo - start) / interval), 0)
         for extra in range(candidates):
             j = first + extra
-            times = starts + j * interval
-            mask = (j < query_count) & (times >= window_lo) & (times < window_hi)
-            if not mask.any():
-                continue
-            events.extend((gid % config.resolvers, when, gid)
-                          for gid, when in zip(gids[mask].tolist(), times[mask].tolist()))
-    else:
-        starts = _population_starts(config, 0, total, None)
-        for gid, start in enumerate(starts):
-            first = max(math.ceil((window_lo - start) / interval), 0)
-            for extra in range(candidates):
-                j = first + extra
-                if j >= query_count:
-                    break
-                when = start + j * interval
-                if when >= window_hi:
-                    break
-                if when >= window_lo:
-                    events.append((gid % config.resolvers, when, gid))
+            if j >= query_count:
+                break
+            when = start + j * interval
+            if when >= window_hi:
+                break
+            if when >= window_lo:
+                events.append((gid % config.resolvers, when, gid))
 
     # Renewal walk per resolver over its time-ordered query events, cache
     # anchored empty at window_lo.  Hits do not refresh the TTL (caches count
@@ -216,9 +239,43 @@ def resolver_poison_times(config: FleetConfig,
             poisoned[resolver] = when
         else:
             cache_until[resolver] = when + ttl
-
-    _POISON_MEMO[key] = poisoned
     return poisoned
+
+
+def _poison_times_by_miss_steps(config: FleetConfig, np: Any) -> dict[int, float]:
+    """The walk's result, one cache miss per resolver per step, on arrays."""
+    interval = config.policy.query_interval
+    query_count = config.policy.query_count
+    ttl, window_lo, window_hi, candidates = _walk_bounds(config)
+    starts = _population_starts(config, 0, config.total_population, np)
+    first = np.maximum(np.ceil((window_lo - starts) / interval), 0.0).astype(np.int64)
+    owners, times = [], []
+    for extra in range(candidates):
+        j = first + extra
+        when = starts + j * interval
+        gids = np.flatnonzero((j < query_count) & (when >= window_lo) & (when < window_hi))
+        owners.append(gids % config.resolvers)
+        times.append(when[gids])
+    owner = np.concatenate(owners)
+    when = np.concatenate(times)
+
+    # Every event left in (owner, when) is a miss candidate of its resolver;
+    # the earliest one is the miss.  A miss at or after hijack_start poisons
+    # the resolver; an earlier one caches until miss + ttl, so only events at
+    # or past that expiry stay — and only strictly later ones, so each step
+    # advances even where miss + ttl does not exceed the miss.
+    poison = np.full(config.resolvers, math.inf)
+    while owner.size:
+        miss = np.full(config.resolvers, math.inf)
+        np.minimum.at(miss, owner, when)
+        reached = np.isfinite(miss) & (miss >= config.hijack_start)
+        poison[reached] = miss[reached]
+        last = miss[owner]
+        keep = (last < config.hijack_start) & (when >= last + ttl) & (when > last)
+        owner = owner[keep]
+        when = when[keep]
+    resolvers = np.flatnonzero(np.isfinite(poison))
+    return dict(zip(resolvers.tolist(), poison[resolvers].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +342,13 @@ def cohort_poison_queries(config: FleetConfig, np: Optional[Any]
 
 @dataclass
 class _GroupShift:
-    """Shift-phase outcome of one composition group (python lists)."""
+    """Shift-phase outcome of one composition group.
 
-    achieved: list[float]
-    panic_rounds: list[int]
+    Python lists on the pure-python backend, numpy arrays on the numpy one.
+    """
+
+    achieved: Any
+    panic_rounds: Any
     updates_run: int  # identical for every member of the group
 
 
@@ -304,6 +364,8 @@ def _run_group_shift(config: FleetConfig, comp: ClientComposition,
     pool = comp.pool_size
     if pool == 0:
         # The packet client never starts updates on an empty pool.
+        if np is not None:
+            return _GroupShift(np.zeros(members), np.zeros(members, dtype=np.int64), 0)
         return _GroupShift([0.0] * members, [0] * members, 0)
 
     target = config.target_shift
@@ -328,34 +390,46 @@ def _run_group_shift(config: FleetConfig, comp: ClientComposition,
     degenerate = sampler is not None and sampler.low == sampler.high
 
     if np is not None:
-        gid_arr = np.asarray(gids, dtype=np.int64)
-        base = (gid_arr * rounds) * attempts
-        shift = np.zeros(members, dtype=np.float64)
-        panic_count = np.zeros(members, dtype=np.int64)
-        for rnd in range(rounds):
-            bound = chronos.local_bound(0.0 if rnd == 0 else chronos.poll_interval)
-            active = np.ones(members, dtype=bool)
+        def run_block(block: Any) -> tuple[Any, Any]:
+            size = len(block)
+            shift = np.zeros(size, dtype=np.float64)
+            panic_count = np.zeros(size, dtype=np.int64)
             if not too_few:
-                for attempt in range(attempts):
-                    if not active.any():
-                        break
-                    if degenerate:
-                        mal = np.full(members, sampler.low, dtype=np.int64)
-                    else:
-                        counters = (base + rnd * attempts + attempt).astype(np.uint64)
-                        mal = sampler.sample_from(rng.uniforms(counters), np=np)
-                    surv = np.clip(mal - trim, 0, survivors)
-                    means = surv * target / survivors - shift
-                    ok = np.abs(means) <= bound
-                    if mixed_fails:
-                        ok &= (surv == 0) | (surv == survivors)
-                    take = active & ok
-                    shift = np.where(take, shift + means, shift)
-                    active &= ~take
-            if active.any():
-                shift = np.where(active, panic_target, shift)
-                panic_count += active
-        return _GroupShift(shift.tolist(), panic_count.tolist(), rounds)
+                # Row ``rnd * attempts + attempt`` holds every member's draw
+                # for that attempt, at the counters the python path reads one
+                # by one; a degenerate sampler needs one row for all members.
+                draws = rounds * attempts
+                if degenerate:
+                    mal = np.full((draws, 1), sampler.low, dtype=np.int64)
+                else:
+                    counters = np.arange(draws, dtype=np.int64)[:, None] + block * draws
+                    mal = sampler.sample_from(rng.uniforms(counters.astype(np.uint64)), np=np)
+                surv = np.clip(mal - trim, 0, survivors)
+                proposed = surv * target / survivors
+                agree = (surv == 0) | (surv == survivors) if mixed_fails else None
+            for rnd in range(rounds):
+                bound = chronos.local_bound(0.0 if rnd == 0 else chronos.poll_interval)
+                active = np.ones(size, dtype=bool)
+                if not too_few:
+                    for row in range(rnd * attempts, (rnd + 1) * attempts):
+                        means = proposed[row] - shift
+                        take = active & (np.abs(means) <= bound)
+                        if agree is not None:
+                            take &= agree[row]
+                        shift = np.where(take, shift + means, shift)
+                        active &= ~take
+                        if not active.any():
+                            break
+                if active.any():
+                    shift = np.where(active, panic_target, shift)
+                    panic_count += active
+            return shift, panic_count
+
+        gid_arr = np.asarray(gids, dtype=np.int64)
+        blocks = [run_block(gid_arr[lo:lo + SHIFT_BLOCK])
+                  for lo in range(0, members, SHIFT_BLOCK)]
+        return _GroupShift(np.concatenate([shift for shift, _ in blocks]),
+                           np.concatenate([panics for _, panics in blocks]), rounds)
 
     shift_list = [0.0] * members
     panic_list = [0] * members
@@ -401,12 +475,22 @@ class FleetEngine:
         self.np = resolve_backend(config.backend)
 
     # -- helpers -----------------------------------------------------------
-    def _group_indices(self, ks: Any) -> dict[int, list[int]]:
-        """Cohort indices grouped by poison query (hence by composition)."""
+    def _group_indices(self, ks: Any) -> dict[int, Any]:
+        """Cohort indices grouped by poison query (hence by composition).
+
+        Each group lists its indices in ascending order: a python list on the
+        pure-python backend, an index array on the numpy one.
+        """
         if self.np is not None:
             np = self.np
-            return {int(k): np.nonzero(ks == k)[0].tolist()
-                    for k in np.unique(ks).tolist()}
+            # ks lies in 0..query_count: a stable sort of keys that small is
+            # a radix sort, and bincount gives each group's slice of it.
+            keys = ks.astype(np.min_scalar_type(self.config.policy.query_count))
+            order = np.argsort(keys, kind="stable")
+            counts = np.bincount(ks).tolist()
+            ends = np.cumsum(counts).tolist()
+            return {k: order[end - count:end]
+                    for k, (count, end) in enumerate(zip(counts, ends)) if count}
         groups: dict[int, list[int]] = {}
         for index, k in enumerate(ks):
             groups.setdefault(int(k), []).append(index)
@@ -481,25 +565,34 @@ class FleetEngine:
 
         shifts: dict[int, _GroupShift] = {}
         if config.run_time_shift:
-            shift_values: list[float] = []
-            panic_total = 0
             updates_total = 0
-            achieved_count = 0
-            threshold = abs(config.target_shift) / 2
             for k, indices in groups.items():
-                gids = [config.client_offset + i for i in indices]
+                if np is not None:
+                    gids = indices + config.client_offset
+                else:
+                    gids = [config.client_offset + i for i in indices]
                 outcome = _run_group_shift(config, compositions[k], gids, np)
                 shifts[k] = outcome
-                shift_values.extend(outcome.achieved)
-                panic_total += sum(outcome.panic_rounds)
                 updates_total += outcome.updates_run * len(indices)
-                achieved_count += sum(
-                    1 for s in outcome.achieved if abs(s) >= threshold)
+            threshold = abs(config.target_shift) / 2
+            if np is not None and shifts:
+                achieved = np.concatenate([o.achieved for o in shifts.values()])
+                panics = np.concatenate([o.panic_rounds for o in shifts.values()])
+                panic_total = int(panics.sum())
+                achieved_count = int(np.count_nonzero(np.abs(achieved) >= threshold))
+                # fsum is correctly rounded, so it matches the python sum bit
+                # for bit whatever the order of the terms.
+                shift_sum = math.fsum(achieved.tolist())
+            else:
+                achieved = [s for o in shifts.values() for s in o.achieved]
+                panic_total = sum(sum(o.panic_rounds) for o in shifts.values())
+                achieved_count = sum(1 for s in achieved if abs(s) >= threshold)
+                shift_sum = math.fsum(achieved)
             metrics.update({
                 "updates_run_total": updates_total,
                 "panic_rounds_total": panic_total,
                 "clients_shift_achieved": achieved_count,
-                "achieved_shift_sum": math.fsum(shift_values),
+                "achieved_shift_sum": shift_sum,
             })
             metrics["mean_achieved_shift"] = (
                 metrics["achieved_shift_sum"] / clients if clients else 0.0)
@@ -509,6 +602,11 @@ class FleetEngine:
 
         start_list = starts.tolist() if np is not None else list(starts)
         k_list = ks.tolist() if np is not None else list(ks)
+        if np is not None:
+            # Records carry python scalars only: they enter digests and JSON.
+            groups = {k: indices.tolist() for k, indices in groups.items()}
+            shifts = {k: _GroupShift(o.achieved.tolist(), o.panic_rounds.tolist(),
+                                     o.updates_run) for k, o in shifts.items()}
         records: list[dict[str, Any]] = []
         # Map each cohort index back to its position within its group so the
         # per-group shift outcomes can be read off.

@@ -17,9 +17,9 @@ derived from them) agree bit for bit.
 Hypergeometric sampling — "how many of the ``m`` sampled servers are
 attacker-controlled" — goes through :class:`HypergeomSampler`: an explicit
 inverse-CDF table built *once in pure python* (exact ``math.comb`` ratios,
-sequential float summation) and then shared by both backends, where
-``bisect_right`` and ``numpy.searchsorted(side='right')`` agree by
-construction.
+sequential float summation) and then shared by both backends: ``bisect_right``
+on the python path and a count of the entries at or below each uniform on
+the numpy path return the same index by construction.
 """
 
 from __future__ import annotations
@@ -163,18 +163,25 @@ class HypergeomSampler:
             cdf.append(acc)
         cdf[-1] = 1.0  # guard against summation residue at the top
         self.cdf = cdf
-        self._cdf_np: Optional[Any] = None
 
     def sample_from(self, uniforms: Sequence[float], np: Optional[Any] = None) -> Any:
-        """Map uniforms to counts; a degenerate support costs no arithmetic."""
+        """Map uniforms in ``[0, 1)`` to counts (any array shape on numpy).
+
+        A degenerate support costs no arithmetic.
+        """
         if self.low == self.high:
             if np is not None:
-                return np.full(len(uniforms), self.low, dtype=np.int64)
+                return np.full(np.shape(uniforms), self.low, dtype=np.int64)
             return [self.low] * len(uniforms)
         if np is not None:
-            if self._cdf_np is None:
-                self._cdf_np = np.asarray(self.cdf, dtype=np.float64)
-            return np.searchsorted(self._cdf_np, uniforms, side="right") + self.low
+            # How many table entries lie at or below u is bisect_right on the
+            # sorted table; one vector compare per entry (Chronos samples 15
+            # servers: 16 entries at most) beats a binary search per draw.
+            uniforms = np.asarray(uniforms, dtype=np.float64)
+            counts = np.zeros(uniforms.shape, dtype=np.min_scalar_type(len(self.cdf)))
+            for edge in self.cdf:
+                counts += uniforms >= edge
+            return counts + np.int64(self.low)
         cdf = self.cdf
         return [self.low + bisect_right(cdf, u) for u in uniforms]
 

@@ -2,7 +2,8 @@
 
 Contracts: resolver poisoning follows the documented renewal walk
 (hand-computed fixtures), per-client outcomes are invariant under cohort
-sharding and identical across backends, and the ``population_sweep``
+sharding and identical across backends (python scalars included), invalid
+TTLs and times are rejected up front, and the ``population_sweep``
 scenario rides the shared scheduler with byte-identical digests across
 worker counts.
 """
@@ -14,8 +15,10 @@ import pytest
 from repro.experiments import ExperimentSpec, SweepScheduler
 from repro.experiments.registry import get_scenario, merge_params
 from repro.experiments.runner import run_scenario
+from repro.population import engine as engine_module
 from repro.population.batch import FleetPolicy
 from repro.population.engine import (
+    _POISON_MEMO,
     FleetConfig,
     FleetEngine,
     cohort_poison_queries,
@@ -100,6 +103,26 @@ def test_first_uncached_miss_poisons_the_resolver(backend):
     assert metrics["poison_histogram"][11] == 1
 
 
+@pytest.mark.parametrize("backend", ["python"] + (["numpy"] if numpy else []))
+def test_rounded_anchor_takes_a_second_pre_window_miss(backend):
+    # (0.7 - 150) + 150 rounds below 0.7: the entry fetched at the anchor
+    # expires before the window, so a second pre-window miss renews it
+    # until 150.7, masking the query at 0.7; the miss at 150.7 poisons.
+    anchor = 0.7 - 150
+    renewal = anchor + 150
+    assert renewal < 0.7
+    config = FleetConfig(
+        clients=4, resolvers=1, explicit_starts=(anchor, renewal, 0.7, renewal + 150),
+        policy=FleetPolicy(benign_ttl=150), hijack_start=0.7,
+        hijack_duration=600.0, run_time_shift=False, backend=backend)
+    engine = FleetEngine(config)
+    _POISON_MEMO.clear()
+    try:
+        assert resolver_poison_times(config, engine.np) == {0: renewal + 150}
+    finally:
+        _POISON_MEMO.clear()
+
+
 def test_poison_map_is_population_wide_not_cohort_wide():
     # A cohort covering only client 0 must still see the resolver poisoned
     # by client 1's query.
@@ -128,6 +151,32 @@ def test_backend_parity_on_detailed_records():
     np_detail = FleetEngine(config_with(STOCHASTIC, clients=64,
                                         backend="numpy")).run_detailed()
     assert py_detail == np_detail
+
+
+@pytest.mark.skipif(numpy is None, reason="numpy not installed")
+def test_blocked_selection_draws_match_the_reference(monkeypatch):
+    # Groups larger than a block run block by block on the numpy path.
+    config = config_with(STOCHASTIC, clients=120)
+    expected = FleetEngine(config).run_detailed()
+    monkeypatch.setattr(engine_module, "SHIFT_BLOCK", 3)
+    assert FleetEngine(config_with(config, backend="numpy")).run_detailed() == expected
+
+
+@pytest.mark.skipif(numpy is None, reason="numpy not installed")
+def test_numpy_results_hold_python_scalars():
+    # np.float64 == float, so the parity tests above cannot see a numpy
+    # scalar leaking out; digests and RunCache JSON need python types.
+    config = config_with(STOCHASTIC, backend="numpy")
+    _, ks, _ = cohort_poison_queries(config, FleetEngine(config).np)
+    assert len(set(ks.tolist())) >= 20  # many composition groups
+    metrics, records = FleetEngine(config).run_detailed()
+    for record in records:
+        assert type(record["achieved_shift"]) is float
+        assert type(record["panic_rounds"]) is int
+    assert type(metrics["achieved_shift_sum"]) is float
+    assert type(metrics["panic_rounds_total"]) is int
+    assert type(metrics["clients_shift_achieved"]) is int
+    assert FleetEngine(config).run() == metrics
 
 
 def test_cohort_sharding_is_invisible():
@@ -163,6 +212,31 @@ def test_empty_and_unpoisoned_edges():
     assert clean_metrics["panic_rounds_total"] == 0
     assert clean_metrics["updates_run_total"] == 10 * (STOCHASTIC.update_rounds + 1)
     assert clean_metrics["achieved_shift_sum"] == 0.0
+
+
+@pytest.mark.parametrize("policy", [
+    {"benign_ttl": -500, "malicious_ttl": -1},
+    {"benign_ttl": -1},
+    {"malicious_ttl": -1},
+    {"benign_ttl": 2 ** 31},
+])
+def test_policy_rejects_ttls_outside_the_dns_range(policy):
+    with pytest.raises(ValueError, match="ttl"):
+        FleetPolicy(**policy)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("hijack_start", float("nan")),
+    ("hijack_start", float("inf")),
+    ("hijack_duration", float("nan")),
+    ("hijack_duration", float("inf")),
+    ("stagger_window", float("nan")),
+    ("stagger_window", float("inf")),
+    ("stagger_window", -1.0),
+])
+def test_config_rejects_non_finite_or_negative_times(field, value):
+    with pytest.raises(ValueError, match=field):
+        config_with(STOCHASTIC, **{field: value})
 
 
 # -- registry + scheduler integration ---------------------------------------

@@ -20,11 +20,17 @@ from repro.dns.message import (
 )
 from repro.dns.records import RecordType, ResourceRecord, a_record
 from repro.dns.wire import WireFormatError, decode_name, encode_name, letter_count
-from repro.netsim.addresses import int_to_ip, ip_to_bytes, ip_to_int
+from repro.netsim.addresses import AddressError, int_to_ip, ip_to_bytes, ip_to_int
 from repro.netsim.fragmentation import ReassemblyBuffer, fragment_datagram
 from repro.netsim.packets import UDPDatagram
 from repro.ntp.packet import NTPMode, NTPPacket
 from repro.ntp.timestamps import ntp_to_unix, unix_to_ntp
+from repro.population import engine
+from repro.population.batch import FleetPolicy
+from repro.population.rng import HypergeomSampler, numpy_or_none
+
+numpy = numpy_or_none()
+needs_numpy = pytest.mark.skipif(numpy is None, reason="numpy not installed")
 
 # -- strategies --------------------------------------------------------------------------
 
@@ -79,6 +85,20 @@ def test_ip_int_roundtrip(value):
 @given(address=ip_addresses)
 def test_ip_string_roundtrip(address):
     assert int_to_ip(ip_to_int(address)) == address
+
+
+@given(value=st.integers(min_value=0, max_value=0xFFFFFFFF))
+@example(0)
+@example(0xFFFFFFFF)
+def test_int_to_ip_matches_the_octet_formula(value):
+    assert int_to_ip(value) == ".".join(str((value >> shift) & 0xFF)
+                                        for shift in (24, 16, 8, 0))
+
+
+@pytest.mark.parametrize("value", [-1, 2 ** 32])
+def test_int_to_ip_rejects_values_outside_ipv4(value):
+    with pytest.raises(AddressError):
+        int_to_ip(value)
 
 
 @given(text=st.one_of(ip_addresses, st.text(alphabet="0123456789.x -", max_size=16),
@@ -301,3 +321,52 @@ def test_hypergeometric_tail_monotone_and_bounded(population, data):
         assert 0.0 <= value <= 1.0 + 1e-12
         assert value <= previous + 1e-12
         previous = value
+
+
+@needs_numpy
+@given(pool=st.integers(min_value=1, max_value=80), data=st.data())
+@settings(max_examples=60)
+def test_hypergeom_sampling_is_backend_identical(pool, data):
+    malicious = data.draw(st.integers(min_value=0, max_value=pool))
+    sample = data.draw(st.integers(min_value=0, max_value=pool))
+    sampler = HypergeomSampler(pool, malicious, sample)
+    # Uniforms exactly on each table entry and one ulp either side of it.
+    edges = [u for edge in sampler.cdf[:-1]
+             for u in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0))
+             if 0.0 <= u < 1.0]
+    uniforms = edges + data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=20))
+    vector = sampler.sample_from(numpy.asarray(uniforms), np=numpy)
+    assert vector.tolist() == sampler.sample_from(uniforms)
+
+
+# -- fleet resolver poison map ----------------------------------------------------------------
+
+@needs_numpy
+@given(resolvers=st.integers(min_value=1, max_value=8),
+       step=st.sampled_from([75.0, 150.0, 600.0, 1800.0]),
+       slots=st.lists(st.integers(min_value=0, max_value=1151), min_size=0, max_size=64),
+       ttl=st.sampled_from([0, 1, 150, 3600, 7200]),
+       hijack_start=st.floats(min_value=86000.0, max_value=94000.0),
+       hijack_duration=st.sampled_from([1.0, 150.0, 600.0, 3600.0, 7300.0]))
+@example(resolvers=1, step=75.0, slots=[0, 0, 2, 48], ttl=150,
+         hijack_start=89999.5, hijack_duration=600.0)
+@settings(max_examples=80)
+def test_poison_map_miss_steps_match_the_renewal_walk(resolvers, step, slots, ttl,
+                                                      hijack_start, hijack_duration):
+    # Starts on a coarse grid put several clients' queries at the same time.
+    starts = tuple(float(slot * step % 86400.0) for slot in slots)
+    config = engine.FleetConfig(
+        clients=len(starts), resolvers=resolvers, explicit_starts=starts,
+        policy=FleetPolicy(benign_ttl=ttl), hijack_start=hijack_start,
+        hijack_duration=hijack_duration, run_time_shift=False)
+    # The memo key ignores the backend: clear it so each backend computes.
+    try:
+        engine._POISON_MEMO.clear()
+        walked = engine.resolver_poison_times(config, None)
+        engine._POISON_MEMO.clear()
+        stepped = engine.resolver_poison_times(config, numpy)
+    finally:
+        engine._POISON_MEMO.clear()
+    assert stepped == walked
+    assert all(type(r) is int and type(t) is float for r, t in stepped.items())
