@@ -585,7 +585,8 @@ class FleetEngine:
                 shift_sum = math.fsum(achieved.tolist())
             else:
                 achieved = [s for o in shifts.values() for s in o.achieved]
-                panic_total = sum(sum(o.panic_rounds) for o in shifts.values())
+                panics = [p for o in shifts.values() for p in o.panic_rounds]
+                panic_total = sum(panics)
                 achieved_count = sum(1 for s in achieved if abs(s) >= threshold)
                 shift_sum = math.fsum(achieved)
             metrics.update({
@@ -602,17 +603,26 @@ class FleetEngine:
 
         start_list = starts.tolist() if np is not None else list(starts)
         k_list = ks.tolist() if np is not None else list(ks)
-        if np is not None:
-            # Records carry python scalars only: they enter digests and JSON.
-            groups = {k: indices.tolist() for k, indices in groups.items()}
-            shifts = {k: _GroupShift(o.achieved.tolist(), o.panic_rounds.tolist(),
-                                     o.updates_run) for k, o in shifts.items()}
+        if config.run_time_shift:
+            # The shift outcomes above run group by group; scatter them back
+            # to cohort order.  Records carry python scalars only: they enter
+            # digests and JSON.
+            if np is not None and shifts:
+                order = np.concatenate(list(groups.values()))
+                by_client = np.empty(clients, dtype=np.float64)
+                by_client[order] = achieved
+                client_shift = by_client.tolist()
+                by_client = np.empty(clients, dtype=np.int64)
+                by_client[order] = panics
+                client_panics = by_client.tolist()
+            else:
+                client_shift = [0.0] * clients
+                client_panics = [0] * clients
+                members = (index for indices in groups.values() for index in indices)
+                for index, shift, panic in zip(members, achieved, panics):
+                    client_shift[index] = shift
+                    client_panics[index] = panic
         records: list[dict[str, Any]] = []
-        # Map each cohort index back to its position within its group so the
-        # per-group shift outcomes can be read off.
-        group_pos: dict[int, int] = {index: pos
-                                     for indices in groups.values()
-                                     for pos, index in enumerate(indices)}
         for index in range(clients):
             k = int(k_list[index])
             comp = compositions[k]
@@ -629,14 +639,12 @@ class FleetEngine:
                 "attacker_two_thirds": comp.attacker_has_two_thirds,
             }
             if config.run_time_shift:
-                outcome = shifts[k]
-                pos = group_pos[index]
-                achieved = outcome.achieved[pos]
+                shift = client_shift[index]
                 record.update({
-                    "achieved_shift": achieved,
-                    "shift_achieved": abs(achieved) >= abs(config.target_shift) / 2,
-                    "updates_run": outcome.updates_run,
-                    "panic_rounds": outcome.panic_rounds[pos],
+                    "achieved_shift": shift,
+                    "shift_achieved": abs(shift) >= abs(config.target_shift) / 2,
+                    "updates_run": shifts[k].updates_run,
+                    "panic_rounds": client_panics[index],
                 })
             records.append(record)
         return metrics, records

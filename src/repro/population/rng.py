@@ -181,7 +181,10 @@ class HypergeomSampler:
             counts = np.zeros(uniforms.shape, dtype=np.min_scalar_type(len(self.cdf)))
             for edge in self.cdf:
                 counts += uniforms >= edge
-            return counts + np.int64(self.low)
+            # An explicit int64 result: NumPy 1.x value-based casting would
+            # keep ``counts + low`` in the narrow count dtype, and callers
+            # subtract the trim count from it.
+            return np.add(counts, self.low, dtype=np.int64)
         cdf = self.cdf
         return [self.low + bisect_right(cdf, u) for u in uniforms]
 

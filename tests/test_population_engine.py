@@ -16,15 +16,16 @@ from repro.experiments import ExperimentSpec, SweepScheduler
 from repro.experiments.registry import get_scenario, merge_params
 from repro.experiments.runner import run_scenario
 from repro.population import engine as engine_module
-from repro.population.batch import FleetPolicy
+from repro.population.batch import ClientComposition, FleetPolicy
 from repro.population.engine import (
     _POISON_MEMO,
     FleetConfig,
     FleetEngine,
+    _run_group_shift,
     cohort_poison_queries,
     resolver_poison_times,
 )
-from repro.population.rng import numpy_or_none
+from repro.population.rng import CounterRNG, hypergeom_sampler, numpy_or_none
 from repro.population.scenario import combine_cohort_metrics, population_specs
 
 numpy = numpy_or_none()
@@ -160,6 +161,30 @@ def test_blocked_selection_draws_match_the_reference(monkeypatch):
     expected = FleetEngine(config).run_detailed()
     monkeypatch.setattr(engine_module, "SHIFT_BLOCK", 3)
     assert FleetEngine(config_with(config, backend="numpy")).run_detailed() == expected
+
+
+@pytest.mark.skipif(numpy is None, reason="numpy not installed")
+def test_light_poisoning_below_the_trim_matches_the_reference():
+    # A mostly benign pool: the sampler's support starts at 0 and many draws
+    # fall below the trim count, where ``mal - trim`` must clip to zero
+    # survivors rather than wrap in a narrow unsigned dtype.
+    config = config_with(STOCHASTIC, backend="numpy", target_shift=0.05)
+    chronos = config.chronos
+    comp = ClientComposition(poison_at_query=20, benign=70, malicious=14,
+                             cache_hits=0, poisoned_query_count=1)
+    sampler = hypergeom_sampler(comp.pool_size, comp.malicious, chronos.sample_size)
+    assert sampler.low == 0
+    uniforms = CounterRNG(config.seed, engine_module.STREAM_SELECT,
+                          backend=numpy).uniforms(numpy.arange(2000, dtype=numpy.uint64))
+    draws = sampler.sample_from(uniforms, np=numpy)
+    assert draws.dtype == numpy.int64
+    assert (draws < chronos.trim_count).any() and (draws > chronos.trim_count).any()
+    gids = list(range(400))
+    expected = _run_group_shift(config, comp, gids, None)
+    outcome = _run_group_shift(config, comp, numpy.asarray(gids), numpy)
+    assert outcome.achieved.tolist() == expected.achieved
+    assert outcome.panic_rounds.tolist() == expected.panic_rounds
+    assert len(set(expected.achieved)) > 1  # draws both below and above the trim
 
 
 @pytest.mark.skipif(numpy is None, reason="numpy not installed")

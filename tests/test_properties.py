@@ -337,6 +337,7 @@ def test_hypergeom_sampling_is_backend_identical(pool, data):
     uniforms = edges + data.draw(st.lists(
         st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=20))
     vector = sampler.sample_from(numpy.asarray(uniforms), np=numpy)
+    assert vector.dtype == numpy.int64  # callers subtract from it
     assert vector.tolist() == sampler.sample_from(uniforms)
 
 
