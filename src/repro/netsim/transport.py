@@ -29,6 +29,16 @@ Three layers, each usable on its own:
   ciphertext: opaque to :data:`~repro.netsim.network.Tap` observers and to
   anything that diverts the packets.
 
+Cost model of the TLS layer.  Each side draws its DH secret when the channel
+is built (keeping the seeded draw order) but computes its share ``g^x`` only
+in the hello that sends it, so 0-RTT resumptions compute none.  Shares come
+from :func:`generator_power`, a fixed-base table of ``g^(d·16^i)`` built at
+import (64 rows × 16 entries, ~1 ms): at most 64 multiplies per share against
+~300 for windowed square-and-multiply.  The shared secret ``peer^x`` stays a
+builtin :func:`pow`.  Record bodies are SHA-256 counter-mode keystream XORed
+as one big integer, and a send longer than :data:`MAX_RECORD_SIZE` (2^14
+bytes, RFC 8446 §5.1) splits into several records, one counter each.
+
 Simplifications, stated up front: there is no retransmission (experiments
 run stream transports over lossless links), no flow control, and closing is
 a single FIN with immediate teardown.  Segments addressed to no matching
@@ -651,6 +661,45 @@ class PlainStreamSocket(StreamSocket):
 DH_PRIME = 2**256 - 2**32 - 977
 DH_GENERATOR = 5
 
+#: Largest record body, in plaintext bytes (RFC 8446 §5.1's 2^14 limit);
+#: longer sends split into several records, one keystream counter each.
+MAX_RECORD_SIZE = 2**14
+
+
+def _generator_table() -> tuple[tuple[int, ...], ...]:
+    """``DH_GENERATOR ** (d * 16**i) % DH_PRIME`` for 64 rows × 16 digits."""
+    rows = []
+    base = DH_GENERATOR
+    for _ in range(64):
+        row = [1]
+        for _ in range(15):
+            row.append(row[-1] * base % DH_PRIME)
+        rows.append(tuple(row))
+        base = row[-1] * base % DH_PRIME
+    return tuple(rows)
+
+
+_GENERATOR_TABLE = _generator_table()
+
+
+def generator_power(exponent: int) -> int:
+    """``pow(DH_GENERATOR, exponent, DH_PRIME)`` from the fixed-base table.
+
+    One table multiply per non-zero 4-bit digit: at most 64 mulmods for a
+    256-bit exponent, against ~300 for windowed square-and-multiply.  The
+    table covers exponents in ``[0, 2**256)``; DH secrets are 255-bit.
+    """
+    result = 1
+    for row in _GENERATOR_TABLE:
+        if not exponent:
+            break
+        digit = exponent & 15
+        if digit:
+            result = result * row[digit] % DH_PRIME
+        exponent >>= 4
+    return result
+
+
 _REC_CLIENT_HELLO = 1
 _REC_SERVER_HELLO = 2
 _REC_TICKET = 4
@@ -724,6 +773,37 @@ def _frame_record(record_type: int, body: bytes) -> bytes:
     return bytes([record_type]) + len(body).to_bytes(2, "big") + body
 
 
+def _keystream(key: bytes, label: bytes, counter: int, length: int) -> bytes:
+    """``length`` bytes of SHA-256 counter-mode keystream for one record."""
+    prefix = key + label + counter.to_bytes(8, "big")
+    return b"".join(hashlib.sha256(prefix + block.to_bytes(4, "big")).digest()
+                    for block in range((length + 31) // 32))[:length]
+
+
+def _xor(data: bytes, keystream: bytes) -> bytes:
+    """``data`` XOR an equally long ``keystream``, as one big-int operation."""
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(keystream, "big")).to_bytes(len(data), "big")
+
+
+def _crypt(key: bytes, label: bytes, counter: int, data: bytes) -> bytes:
+    """Encrypt or decrypt one record body (the XOR keystream is symmetric)."""
+    return _xor(data, _keystream(key, label, counter, len(data)))
+
+
+def _seal(record_type: int, key: bytes, label: bytes, counter: int,
+          data: bytes) -> tuple[bytes, int]:
+    """Encrypt ``data`` into records of at most :data:`MAX_RECORD_SIZE`
+    bytes, one ``counter`` value per record; return the wire bytes and the
+    next counter.  Empty ``data`` still makes one (empty) record."""
+    records = []
+    for start in range(0, max(len(data), 1), MAX_RECORD_SIZE):
+        chunk = data[start:start + MAX_RECORD_SIZE]
+        records.append(_frame_record(record_type, _crypt(key, label, counter, chunk)))
+        counter += 1
+    return b"".join(records), counter
+
+
 class _RecordDecoder:
     """Reassembles ``type | len16 | body`` records from stream chunks."""
 
@@ -787,8 +867,9 @@ class SecureChannel(StreamSocket):
         self.resumed = False
         self._rng = rng
         self._decoder = _RecordDecoder()
+        # Drawn eagerly to keep the seeded draw order; the share g^secret is
+        # computed only by the hello that sends it (resumptions never do).
         self._secret = rng.getrandbits(255) | 1
-        self._share = pow(DH_GENERATOR, self._secret, DH_PRIME)
         self._random = rng.getrandbits(256).to_bytes(32, "big")
         self._key: Optional[bytes] = None
         self._send_counter = 0
@@ -833,7 +914,8 @@ class SecureChannel(StreamSocket):
 
     # -- handshake -------------------------------------------------------------
     def _send_client_hello(self) -> None:
-        body = self._random + self._share.to_bytes(32, "big")
+        share = generator_power(self._secret)
+        body = self._random + share.to_bytes(32, "big")
         self.connection.send(_frame_record(_REC_CLIENT_HELLO, body))
 
     def _handle_client_hello(self, body: bytes) -> None:
@@ -843,11 +925,12 @@ class SecureChannel(StreamSocket):
         client_random = body[:32]
         client_share = int.from_bytes(body[32:64], "big")
         subject = (self.identity or "").encode("ascii")
+        share = generator_power(self._secret)
         signature = certificate_signature(self.cert_key or "", self.identity or "",
-                                          self._share, self._random)
+                                          share, self._random)
         hello = (
             self._random
-            + self._share.to_bytes(32, "big")
+            + share.to_bytes(32, "big")
             + len(subject).to_bytes(2, "big") + subject
             + signature
         )
@@ -912,11 +995,10 @@ class SecureChannel(StreamSocket):
                  + self._random)
         flight = _frame_record(_REC_RESUME_HELLO, hello)
         if early_data:
-            keystream = self._early_keystream(self._early_send_counter,
-                                              len(early_data))
-            self._early_send_counter += 1
-            ciphertext = bytes(a ^ b for a, b in zip(early_data, keystream))
-            flight += _frame_record(_REC_EARLY_DATA, ciphertext)
+            records, self._early_send_counter = _seal(
+                _REC_EARLY_DATA, self._early_key, b"early",
+                self._early_send_counter, early_data)
+            flight += records
         return flight
 
     def _handle_ticket(self, body: bytes) -> None:
@@ -962,24 +1044,13 @@ class SecureChannel(StreamSocket):
         self.handshake_complete = True
         self._fire_ready()
 
-    def _early_keystream(self, counter: int, length: int) -> bytes:
-        assert self._early_key is not None
-        stream = bytearray()
-        block = 0
-        while len(stream) < length:
-            stream += hashlib.sha256(
-                self._early_key + b"early" + counter.to_bytes(8, "big")
-                + block.to_bytes(4, "big")).digest()
-            block += 1
-        return bytes(stream[:length])
-
     def _handle_early_data(self, body: bytes) -> None:
         if self.is_client or self._early_key is None:
             self._abort("early data without a resumed session")
             return
-        keystream = self._early_keystream(self._early_recv_counter, len(body))
+        plaintext = _crypt(self._early_key, b"early", self._early_recv_counter,
+                           body)
         self._early_recv_counter += 1
-        plaintext = bytes(a ^ b for a, b in zip(body, keystream))
         if self.on_data is not None:
             self.on_data(plaintext)
 
@@ -996,34 +1067,22 @@ class SecureChannel(StreamSocket):
         self._fire_failure(reason)
 
     # -- application data --------------------------------------------------------
-    def _keystream(self, direction: bytes, counter: int, length: int) -> bytes:
-        assert self._key is not None
-        stream = bytearray()
-        block = 0
-        while len(stream) < length:
-            stream += hashlib.sha256(
-                self._key + direction + counter.to_bytes(8, "big")
-                + block.to_bytes(4, "big")).digest()
-            block += 1
-        return bytes(stream[:length])
-
     def send(self, data: bytes) -> None:
         if not self.ready:
             raise TransportError("secure channel is not ready")
-        direction = b"c2s" if self.is_client else b"s2c"
-        keystream = self._keystream(direction, self._send_counter, len(data))
-        self._send_counter += 1
-        ciphertext = bytes(a ^ b for a, b in zip(data, keystream))
-        self.connection.send(_frame_record(_REC_APP_DATA, ciphertext))
+        assert self._key is not None
+        records, self._send_counter = _seal(
+            _REC_APP_DATA, self._key, b"c2s" if self.is_client else b"s2c",
+            self._send_counter, data)
+        self.connection.send(records)
 
     def _handle_app_data(self, body: bytes) -> None:
         if self._key is None:
             self._abort("application data before handshake")
             return
-        direction = b"s2c" if self.is_client else b"c2s"
-        keystream = self._keystream(direction, self._recv_counter, len(body))
+        plaintext = _crypt(self._key, b"s2c" if self.is_client else b"c2s",
+                           self._recv_counter, body)
         self._recv_counter += 1
-        plaintext = bytes(a ^ b for a, b in zip(body, keystream))
         if self.on_data is not None:
             self.on_data(plaintext)
 

@@ -11,11 +11,13 @@ from repro.netsim.transport import (
     FLAG_ACK,
     FLAG_RST,
     FLAG_SYN,
+    MAX_RECORD_SIZE,
     ConnectionState,
     PlainStreamSocket,
     SecureChannel,
     TCPSegment,
     TransportError,
+    _RecordDecoder,
 )
 
 
@@ -321,3 +323,37 @@ def test_secure_channel_deterministic_per_seed():
 
     assert transcript(5) == transcript(5)
     assert transcript(5) != transcript(6)
+
+
+def test_secure_channel_splits_oversize_sends_into_records():
+    """Sends past the 16-bit record length split into records of at most
+    2**14 bytes (RFC 8446 §5.1) that reassemble to the original bytes."""
+    simulator, network, client, server = make_pair()
+    client_stream = bytearray()
+
+    def tap(packet, now):
+        if packet.protocol == PROTO_TCP and packet.src_ip == "10.0.0.1":
+            client_stream.extend(TCPSegment.decode(packet.payload).payload)
+    network.add_tap(tap)
+    received = []
+
+    def on_connection(conn):
+        channel = SecureChannel.server(conn, simulator.rng,
+                                       identity="pool.ntp.org", cert_key="k")
+        channel.on_data = received.append
+    server.tcp.listen(853, on_connection)
+    conn = client.tcp.connect("10.0.0.2", 853)
+    channel = SecureChannel.client(conn, simulator.rng,
+                                   expected_identity="pool.ntp.org",
+                                   trust_anchor="k")
+    data = bytes(range(256)) * 273 + bytes(112)
+    assert len(data) == 70_000
+    channel.on_ready = lambda: channel.send(data)
+    simulator.run(until=1.0)
+
+    assert b"".join(received) == data
+    assert [len(chunk) for chunk in received] == [MAX_RECORD_SIZE] * 4 + [4464]
+    records = _RecordDecoder().feed(bytes(client_stream))
+    app_data = [body for record_type, body in records if record_type == 23]
+    assert len(app_data) == 5
+    assert max(len(body) for body in app_data) == MAX_RECORD_SIZE

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 from dataclasses import replace
@@ -20,6 +21,7 @@ from repro.dns.message import (
 )
 from repro.dns.records import RecordType, ResourceRecord, a_record
 from repro.dns.wire import WireFormatError, decode_name, encode_name, letter_count
+from repro.netsim import transport
 from repro.netsim.addresses import AddressError, int_to_ip, ip_to_bytes, ip_to_int
 from repro.netsim.fragmentation import ReassemblyBuffer, fragment_datagram
 from repro.netsim.packets import UDPDatagram
@@ -371,3 +373,45 @@ def test_poison_map_miss_steps_match_the_renewal_walk(resolvers, step, slots, tt
         engine._POISON_MEMO.clear()
     assert stepped == walked
     assert all(type(r) is int and type(t) is float for r, t in stepped.items())
+
+
+# -- secure-channel primitives -----------------------------------------------------------------
+
+@given(exponent=st.integers(min_value=0, max_value=2 ** 256 - 1))
+@example(0)
+@example(1)
+@example(2 ** 255 - 1)
+@example(2 ** 256 - 1)
+def test_generator_power_matches_builtin_pow(exponent):
+    assert transport.generator_power(exponent) == pow(
+        transport.DH_GENERATOR, exponent, transport.DH_PRIME)
+
+
+@given(data=st.data(), length=st.integers(min_value=0, max_value=600))
+def test_xor_matches_the_per_byte_formula(data, length):
+    plain = data.draw(st.binary(min_size=length, max_size=length))
+    keystream = data.draw(st.binary(min_size=length, max_size=length))
+    assert transport._xor(plain, keystream) == bytes(
+        a ^ b for a, b in zip(plain, keystream))
+
+
+def block_loop_keystream(key, label, counter, length):
+    """The per-block loop the record layer used before ``_keystream``."""
+    stream = bytearray()
+    block = 0
+    while len(stream) < length:
+        stream += hashlib.sha256(key + label + counter.to_bytes(8, "big")
+                                 + block.to_bytes(4, "big")).digest()
+        block += 1
+    return bytes(stream[:length])
+
+
+@given(key=st.binary(min_size=32, max_size=32),
+       label=st.sampled_from([b"c2s", b"s2c", b"early"]),
+       counter=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       length=st.integers(min_value=0, max_value=700))
+@example(key=bytes(32), label=b"c2s", counter=0, length=33)
+@example(key=bytes(32), label=b"early", counter=1, length=64)
+def test_keystream_matches_the_block_loop(key, label, counter, length):
+    assert transport._keystream(key, label, counter, length) == block_loop_keystream(
+        key, label, counter, length)

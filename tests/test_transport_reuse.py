@@ -9,6 +9,7 @@ with its matrix columns.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -25,15 +26,18 @@ from repro.experiments.matrix import (
     SERVING_STACKS,
     run_defense_matrix,
 )
+from repro.netsim import transport
 from repro.netsim.network import Host, LinkProperties, Network
 from repro.netsim.packets import PROTO_TCP, IPPacket
 from repro.netsim.simulator import Simulator
 from repro.netsim.transport import (
     FLAG_RST,
     FLAG_SYN,
+    MAX_RECORD_SIZE,
     ResumptionTicketStore,
     SecureChannel,
     TCPSegment,
+    _RecordDecoder,
 )
 
 ZONE = "pool.ntp.org"
@@ -211,6 +215,151 @@ def test_zero_rtt_first_flight_replay_by_off_path_attacker():
             # Replayable 0-RTT: the server decrypts and answers again.
             assert len(received) == processed_before + 1
             assert received[-1] == b"query"
+
+
+# -- TLS wire transcript pin ------------------------------------------------------
+
+#: App-data sizes straddling the 32-byte keystream block, plus one
+#: DNS-answer-sized message.
+TRANSCRIPT_SIZES = (1, 31, 32, 33, 530)
+
+#: sha256 over every tapped frame of :func:`tls_wire_transcript`, per seed.
+#: Any change to handshake bytes, key derivation, keystream or record framing
+#: moves these.
+TRANSCRIPT_DIGESTS = {
+    1: "2969ad5856aff3dd874c224fa1d5213ea60bf38f05f0b994513a1d0502582b40",
+    2: "c2be62880f5e9335127a8d31a0975ebc046d4a0ffe3734db531fb8438de3e490",
+    3: "735160dc050c65f92543d4751045b20f4d67e11c050043f533970f9e71db617e",
+}
+
+
+def pattern(size, salt):
+    return bytes((salt + 7 * i) % 256 for i in range(size))
+
+
+def tls_wire_transcript(seed):
+    """Hash every frame of a full handshake with ticket issue, app data of
+    each :data:`TRANSCRIPT_SIZES` size both ways, then a 0-RTT resume with
+    early data followed by more app data.  Returns the hex digest and the
+    plaintexts each side decrypted."""
+    simulator, network, client, server = make_pair(seed)
+    digest = hashlib.sha256()
+
+    def tap(packet, now):
+        for part in (packet.src_ip.encode(), packet.dst_ip.encode(),
+                     bytes(packet.payload)):
+            digest.update(len(part).to_bytes(4, "big") + part)
+    network.add_tap(tap)
+
+    store = ResumptionTicketStore()
+    server_got, client_got = [], []
+
+    def on_connection(conn):
+        channel = SecureChannel.server(conn, simulator.rng, identity=ZONE,
+                                       cert_key="zone-key", ticket_store=store)
+
+        def on_data(data, channel=channel):
+            server_got.append(data)
+            channel.send(data[::-1])  # same size back the other way
+        channel.on_data = on_data
+    server.tcp.listen(853, on_connection, fast_open=True)
+
+    tickets = []
+    conn = client.tcp.connect("10.0.0.2", 853)
+    channel = SecureChannel.client(conn, simulator.rng, expected_identity=ZONE,
+                                   trust_anchor="zone-key",
+                                   on_ticket=tickets.append)
+    channel.on_data = client_got.append
+
+    def send_all(channel, salt):
+        for size in TRANSCRIPT_SIZES:
+            channel.send(pattern(size, salt))
+    channel.on_ready = lambda: send_all(channel, 0)
+    simulator.run(until=1.0)
+    conn.close()
+    simulator.run(until=2.0)
+
+    conn2, channel2 = open_resumed(client, simulator, tickets[0],
+                                   pattern(33, 99))
+    channel2.on_data = client_got.append
+    channel2.on_ready = lambda: send_all(channel2, 50)
+    simulator.run(until=3.0)
+    return digest.hexdigest(), server_got, client_got
+
+
+@pytest.mark.parametrize("seed", sorted(TRANSCRIPT_DIGESTS))
+def test_tls_wire_transcript_is_pinned(seed):
+    hexdigest, server_got, client_got = tls_wire_transcript(seed)
+    sent = ([pattern(size, 0) for size in TRANSCRIPT_SIZES] + [pattern(33, 99)]
+            + [pattern(size, 50) for size in TRANSCRIPT_SIZES])
+    assert server_got == sent
+    assert client_got == [data[::-1] for data in sent]
+    assert hexdigest == TRANSCRIPT_DIGESTS[seed]
+
+
+
+def full_handshake_ticket(simulator, client):
+    """Run and close one full handshake; return its channel and ticket."""
+    tickets = []
+    conn = client.tcp.connect("10.0.0.2", 853)
+    channel = SecureChannel.client(conn, simulator.rng, expected_identity=ZONE,
+                                   trust_anchor="zone-key",
+                                   on_ticket=tickets.append)
+    simulator.run(until=simulator.now + 1.0)
+    conn.close()
+    simulator.run(until=simulator.now + 1.0)
+    return channel, tickets[0]
+
+
+def test_dh_shares_are_computed_only_by_hellos(monkeypatch):
+    """A full handshake computes one g^x share per side; a 0-RTT resume
+    computes none, although both sides still draw their secrets."""
+    calls = []
+    real = transport.generator_power
+
+    def counting(exponent):
+        calls.append(exponent)
+        return real(exponent)
+    monkeypatch.setattr(transport, "generator_power", counting)
+
+    simulator, network, client, server = make_pair()
+    store = ResumptionTicketStore()
+    servers = []
+
+    def on_connection(conn):
+        servers.append(SecureChannel.server(conn, simulator.rng, identity=ZONE,
+                                            cert_key="zone-key",
+                                            ticket_store=store))
+    server.tcp.listen(853, on_connection, fast_open=True)
+    channel, ticket = full_handshake_ticket(simulator, client)
+    assert channel.handshake_complete and len(servers) == 1
+    assert calls == [channel._secret, servers[0]._secret]
+
+    calls.clear()
+    conn2, channel2 = open_resumed(client, simulator, ticket, b"query")
+    simulator.run(until=simulator.now + 1.0)
+    assert channel2.resumed and len(servers) == 2 and servers[1].resumed
+    assert calls == []
+
+
+def test_oversize_early_data_splits_into_records():
+    simulator, network, client, server = make_pair()
+    received = []
+    ticketed_server(server, ResumptionTicketStore(), received)
+    _, ticket = full_handshake_ticket(simulator, client)
+
+    early_data = bytes(range(256)) * 273 + bytes(112)
+    channel = SecureChannel.client(
+        client.tcp.create_connection("10.0.0.2", 853), simulator.rng,
+        expected_identity=ZONE, trust_anchor="zone-key", ticket=ticket)
+    flight = channel.first_flight(early_data)
+    records = _RecordDecoder().feed(flight)
+    assert [record_type for record_type, _ in records] == [5] + [7] * 5
+    assert max(len(body) for _, body in records) == MAX_RECORD_SIZE
+    channel.connection.open(flight)
+    simulator.run(until=simulator.now + 1.0)
+    assert [len(chunk) for chunk in received] == [MAX_RECORD_SIZE] * 4 + [4464]
+    assert b"".join(received) == early_data
 
 
 # -- pooled connection: demux, idle, reset ----------------------------------------
