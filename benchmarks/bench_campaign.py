@@ -48,12 +48,11 @@ def _prime_partial(directory: Path, manifest: CampaignManifest) -> int:
     """
     from repro.experiments.cache import RunCache
     from repro.experiments.matrix import matrix_specs
-    from repro.experiments.runner import resolve_spec_tasks
     from repro.experiments.scheduler import SweepScheduler
 
     sweep = manifest.sweep("grid")
     specs = matrix_specs(sweep.attacks, sweep.stacks, sweep.seeds)
-    tasks = [task for spec in specs for task in resolve_spec_tasks(spec)]
+    tasks = [task for spec in specs for task in spec.tasks()]
     cache = RunCache(directory / "cache")
     scheduler = SweepScheduler(workers=1, cache=cache, collect_metrics=True)
     scheduler.run_tasks(tasks[:PRIME_TASKS])

@@ -29,7 +29,12 @@ from pathlib import Path
 from conftest import emit
 
 from repro.dns.records import RecordType
-from repro.experiments import ExperimentRunner, TestbedConfig, build_testbed
+from repro.experiments import (
+    ExperimentSpec,
+    SweepScheduler,
+    TestbedConfig,
+    build_testbed,
+)
 
 #: Digest of the downgrade sweep at seeds 1..8 across the three policy
 #: stacks, pinned at its introduction (PR 4).
@@ -86,18 +91,13 @@ def test_encrypted_transport_gates(benchmark):
     def workload():
         timings = {label: resolve_many(label, QUERIES)
                    for label in TRANSPORT_CONFIGS}
-        sequential = ExperimentRunner(
-            "downgrade", seeds=range(1, SEED_COUNT + 1),
-            param_sets=[{"defenses": ()},
+        spec = ExperimentSpec(
+            "downgrade", seeds=tuple(range(1, SEED_COUNT + 1)),
+            param_sets=({"defenses": ()},
                         {"defenses": ("encrypted_transport",)},
-                        {"defenses": ("encrypted_transport_opportunistic",)}],
-            workers=1).run()
-        parallel = ExperimentRunner(
-            "downgrade", seeds=range(1, SEED_COUNT + 1),
-            param_sets=[{"defenses": ()},
-                        {"defenses": ("encrypted_transport",)},
-                        {"defenses": ("encrypted_transport_opportunistic",)}],
-            workers=4).run()
+                        {"defenses": ("encrypted_transport_opportunistic",)}))
+        [sequential], _ = SweepScheduler(workers=1).run_specs([spec])
+        [parallel], _ = SweepScheduler(workers=4).run_specs([spec])
         return timings, sequential, parallel
 
     timings, sequential, parallel = benchmark.pedantic(workload, rounds=1,

@@ -1,7 +1,7 @@
 """E8: the §V mitigations and the residual 24-hour-hijack attack.
 
 The packet-level table is an explicit ``param_sets`` sweep through the
-experiment runner (one ``chronos_pool_attack`` run per mitigation case).
+sweep scheduler (one ``chronos_pool_attack`` run per mitigation case).
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ from repro.experiments import (
     TestbedConfig,
     build_testbed,
 )
-from repro.experiments.runner import resolve_spec_tasks
 
 ZONE = "pool.ntp.org"
 
@@ -88,14 +87,14 @@ def act_two_and_three(seed_count: int) -> None:
     print("\n== 2+3. every off-path vector × transport policy ==")
     seeds = tuple(range(1, seed_count + 1))
     # One flat task stream for the whole grid on a single shared scheduler
-    # (rather than one ExperimentRunner per cell) so progress is reported
+    # (rather than one sweep per cell) so progress is reported
     # over the entire sweep and nothing idles at per-cell barriers.
     tasks = [task
              for attack, params in ATTACKS
              for _, defenses in STACKS
-             for task in resolve_spec_tasks(ExperimentSpec(
+             for task in ExperimentSpec(
                  scenario=attack, seeds=seeds,
-                 base_params={**params, "defenses": defenses}))]
+                 base_params={**params, "defenses": defenses}).tasks()]
     scheduler = SweepScheduler(on_progress=_progress)
     records, stats = scheduler.run_tasks(tasks)
     print(f"  {stats.formatted()}", file=sys.stderr)

@@ -8,7 +8,7 @@ an attacker who keeps the victim's DNS hijacked for the full 24-hour window.
 
 This example prints the closed-form evaluation and then re-runs the
 packet-level scenario with each mitigation enabled; the packet-level table is
-an explicit ``param_sets`` sweep through the experiment runner (see
+an explicit ``param_sets`` sweep through the sweep scheduler (see
 :data:`repro.analysis.mitigations.MITIGATION_CASES`).
 
 Run with:  python examples/mitigation_evaluation.py [--simulate] [--workers N]

@@ -6,7 +6,7 @@ harder than plain NTP, yet its DNS-based pool generation gives an off-path
 attacker *more* poisoning opportunities and a *stronger* outcome per success.
 
 Both victims are addressed through the scenario registry and swept over the
-same seeds by the experiment runner:
+same seeds by the sweep scheduler:
 
 * ``traditional_client_attack`` — a 4-server NTP client whose single
   start-up DNS lookup is poisoned;
@@ -27,7 +27,7 @@ from repro.analysis import (
     dns_attack_comparison,
     shift_effort_table,
 )
-from repro.experiments import ExperimentRunner
+from repro.experiments import ExperimentSpec, SweepScheduler
 
 SEEDS = (11, 12, 13)
 TARGET_SHIFT = 600.0  # seconds
@@ -39,8 +39,8 @@ def run_victim(title: str, scenario: str, base_params: dict,
     # already shift-based, while for Chronos the end-to-end outcome this
     # comparison is about is the time-shifting phase, not the pool majority.
     print(f"== {title} ==")
-    result = ExperimentRunner(scenario, seeds=SEEDS,
-                              base_params=base_params).run()
+    [result], _ = SweepScheduler().run_specs([ExperimentSpec(
+        scenario, seeds=SEEDS, base_params=base_params)])
     rate = result.success_rate(success_key)
     interval = result.success_interval(success_key)
     print(f"  seeds swept:                  {len(SEEDS)}")

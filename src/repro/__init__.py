@@ -16,14 +16,15 @@ The package is organised by subsystem:
 * :mod:`repro.analysis` — per-experiment sweeps and tables (experiment
   index E1–E9 in the README, "Benchmarks / reproduction report");
 * :mod:`repro.experiments` — declarative testbeds, the scenario registry,
-  and the parallel multi-seed experiment runner.
+  and the parallel multi-seed sweep scheduler.
 
 Quick start::
 
-    from repro.experiments import ExperimentRunner
+    from repro.experiments import ExperimentSpec, SweepScheduler
 
-    result = ExperimentRunner("chronos_pool_attack", seeds=range(8),
-                              base_params={"poison_at_query": 3}).run()
+    [result], stats = SweepScheduler().run_specs([ExperimentSpec(
+        "chronos_pool_attack", seeds=tuple(range(8)),
+        base_params={"poison_at_query": 3})])
     print(result.success_rate(), result.success_interval().formatted())
 """
 

@@ -20,7 +20,8 @@ from typing import Optional
 from ..core.pool_generation import PoolComposition
 from ..dns.nameserver import POOL_RECORDS_PER_RESPONSE
 from ..experiments.matrix import DefenseMatrixResult
-from ..experiments.runner import ExperimentRunner
+from ..experiments.runner import ExperimentSpec
+from ..experiments.scheduler import SweepScheduler
 
 
 @dataclass(frozen=True)
@@ -128,18 +129,17 @@ def simulated_mitigation_table(poison_at_query: int = 1, seed: int = 1,
                                workers: int = 1) -> list[MitigationRow]:
     """Packet-level evaluation of the mitigations (slower, used by the bench).
 
-    Driven through the experiment runner: one ``chronos_pool_attack`` run per
+    Driven through the sweep scheduler: one ``chronos_pool_attack`` run per
     mitigation case, optionally in parallel.
     """
-    result = ExperimentRunner(
+    [result], _ = SweepScheduler(workers=workers).run_specs([ExperimentSpec(
         "chronos_pool_attack",
-        seeds=[seed],
+        seeds=(seed,),
         base_params={"poison_at_query": poison_at_query,
                      "hijack_duration": 600.0,
                      "run_time_shift": False},
-        param_sets=[overlay for _, overlay in MITIGATION_CASES],
-        workers=workers,
-    ).run()
+        param_sets=tuple(overlay for _, overlay in MITIGATION_CASES),
+    )])
     return [
         _row(label,
              PoolComposition(benign=record.metrics["benign"],

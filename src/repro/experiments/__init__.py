@@ -8,7 +8,7 @@ Three layers, composable but independently usable:
 * :mod:`~repro.experiments.registry` — the :class:`Scenario` protocol and
   the by-name registry that makes any scenario runnable from a config dict;
 * :mod:`~repro.experiments.runner` / :mod:`~repro.experiments.results` —
-  parallel multi-seed sweeps (:class:`ExperimentRunner`) with deterministic,
+  declarative sweeps (:class:`ExperimentSpec`) with deterministic,
   order-preserving aggregation (:class:`ExperimentResult`);
 * :mod:`~repro.experiments.scheduler` / :mod:`~repro.experiments.cache` —
   the sweep-execution layer: a single shared worker pool across any number
@@ -20,14 +20,13 @@ Three layers, composable but independently usable:
 
 Quick start::
 
-    from repro.experiments import ExperimentRunner
+    from repro.experiments import ExperimentSpec, SweepScheduler
 
-    result = ExperimentRunner(
+    [result], stats = SweepScheduler(workers=4).run_specs([ExperimentSpec(
         "chronos_pool_attack",
-        seeds=range(16),
+        seeds=tuple(range(16)),
         base_params={"poison_at_query": 3},
-        workers=4,
-    ).run()
+    )])
     print(result.success_rate(), result.success_interval().formatted())
 """
 
@@ -64,7 +63,7 @@ from .results import (
     mean_interval,
     wilson_interval,
 )
-from .runner import ExperimentRunner, ExperimentSpec, run_scenario
+from .runner import ExperimentSpec, run_scenario
 from .scheduler import (
     SweepError,
     SweepScheduler,
@@ -111,7 +110,6 @@ __all__ = [
     "RunRecord",
     "mean_interval",
     "wilson_interval",
-    "ExperimentRunner",
     "ExperimentSpec",
     "run_scenario",
     "DEFAULT_ZONE",

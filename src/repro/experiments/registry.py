@@ -1,13 +1,14 @@
 """Scenario registry: every attack scenario is runnable by name with a dict.
 
 The registry decouples *what* an experiment runs from *how* it is swept:
-:class:`repro.experiments.runner.ExperimentRunner` only ever sees a scenario
-name, a seed and a parameter dict, all of which are picklable and travel to
-multiprocessing workers by value.  The built-in scenarios (the four attack
-scenarios of the paper) live in :mod:`repro.experiments.scenarios` and are
-loaded lazily on first lookup, which keeps this module free of imports from
-the attacks layer and thereby breaks the ``attacks -> experiments.testbed``
-/ ``experiments -> attacks`` cycle.
+:class:`repro.experiments.scheduler.SweepScheduler` only ever sees a
+scenario name, a seed and a parameter dict, all of which are picklable and
+travel to multiprocessing workers by value.  The built-in scenarios (five
+attack adapters for the paper's poisoning vectors plus three measurement
+scenarios) live in :mod:`repro.experiments.scenarios` and are loaded lazily
+on first lookup, which keeps this module free of imports from the attacks
+layer and thereby breaks the ``attacks -> experiments.testbed`` /
+``experiments -> attacks`` cycle.
 
 An attack scenario's parameter schema is its config dataclass:
 :class:`ConfigScenario` derives ``default_params()``, the accepted keys and

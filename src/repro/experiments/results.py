@@ -3,7 +3,7 @@
 The paper reports attack outcomes as probabilities over many randomized runs
 (poisoning success rates, achieved time shifts across victims).  This module
 turns an ordered list of per-run records into those aggregates.  Everything
-is deterministic: records keep the order the runner scheduled them in, and
+is deterministic: records keep the order the scheduler submitted them in, and
 :meth:`ExperimentResult.digest` hashes a canonical JSON encoding so two runs
 of the same sweep can be compared byte-for-byte regardless of worker count.
 """

@@ -217,7 +217,7 @@ class DNSMeasurementExperiment:
     Not an attack: one run generates a synthetic nameserver + resolver
     population for the given seed, executes the probe/classify pipeline and
     returns the published marginals — so sweeping the study across seeds
-    through the runner yields confidence intervals on every fraction.
+    through the scheduler yields confidence intervals on every fraction.
     """
 
     name = "dns_measurement"

@@ -1,10 +1,10 @@
 """Shared sweep-execution layer: one worker pool for any number of sweeps.
 
-:class:`~repro.experiments.runner.ExperimentRunner` executes one spec;
-the defense matrix is five of them, and the pre-scheduler implementation
-fanned each row through its *own* ``multiprocessing.Pool`` — paying the pool
-spawn cost five times and idling every worker at the barrier between rows.
-:class:`SweepScheduler` instead flattens all cells of any list of
+:class:`SweepScheduler` is the one way to run a sweep: the defense matrix
+is five specs, and the pre-scheduler implementation fanned each row through
+its *own* ``multiprocessing.Pool`` — paying the pool spawn cost five times
+and idling every worker at the barrier between rows.  The scheduler instead
+flattens all cells of any list of
 :class:`~repro.experiments.runner.ExperimentSpec`\\ s into a single task
 stream, executes it on one shared pool, and reassembles the per-spec
 :class:`~repro.experiments.results.ExperimentResult`\\ s in deterministic
@@ -33,9 +33,9 @@ Guarantees:
   everything it finished.
 * **Crash isolation** — a task whose scenario raises comes back as a
   :class:`TaskFailure` marker instead of poisoning its whole chunk; failed
-  tasks are retried inline (``task_retries`` attempts with exponential
-  backoff), and only permanent failures raise :class:`SweepError` — after
-  the rest of the stream has completed and been persisted.
+  tasks are retried inline (``task_retries`` attempts), and only permanent
+  failures raise :class:`SweepError` — after the rest of the stream has
+  completed and been persisted.
 * **Pool-loss degradation** — a watchdog (``task_timeout`` seconds with no
   chunk completing) detects a lost pool (e.g. a SIGKILLed worker, whose
   in-flight chunk ``multiprocessing.Pool`` silently never redelivers); the
@@ -57,7 +57,7 @@ from ..obs import current as _obs_current
 from ..obs.metrics import MetricsSnapshot
 from .cache import RunCache
 from .results import ExperimentResult, RunRecord
-from .runner import ExperimentSpec, Task, _execute_task, resolve_spec_tasks
+from .runner import ExperimentSpec, Task, _execute_task
 
 
 def guided_chunk_sizes(task_count: int, workers: int) -> list[int]:
@@ -302,33 +302,28 @@ class SweepScheduler:
     task_retries:
         How many times a task whose scenario raised is re-attempted (inline,
         in the parent) before it counts as a permanent failure.
-    retry_backoff:
-        Base seconds slept before each retry attempt, doubled per attempt.
-        The default of ``0.0`` retries immediately — simulated scenarios are
-        deterministic, so backoff only matters for tasks touching shared
-        host state.
     task_timeout:
         Watchdog: seconds to wait for *any* chunk to complete before the
         pool is declared lost and the remaining chunks re-run inline.
         ``None`` (the default) waits forever — appropriate when tasks are
-        trusted to terminate.
+        trusted to terminate; otherwise it must be positive.
     """
 
     def __init__(self, workers: int = 1, cache: Optional[RunCache] = None,
                  on_progress: Optional[ProgressCallback] = None,
                  collect_metrics: bool = False, task_retries: int = 1,
-                 retry_backoff: float = 0.0,
                  task_timeout: Optional[float] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if task_retries < 0:
             raise ValueError("task_retries must be non-negative")
+        if task_timeout is not None and task_timeout <= 0:
+            raise ValueError("task_timeout must be positive (or None)")
         self.workers = workers
         self.cache = cache
         self.on_progress = on_progress
         self.collect_metrics = collect_metrics
         self.task_retries = task_retries
-        self.retry_backoff = retry_backoff
         self.task_timeout = task_timeout
         self._done = 0
         self._total = 0
@@ -451,30 +446,18 @@ class SweepScheduler:
         snapshots: Optional[list[Optional[MetricsSnapshot]]] = (
             [None] * len(tasks) if self.collect_metrics else None)
         # A pool only pays off when there are more tasks than workers;
-        # otherwise fork/teardown costs more than the tasks themselves.
-        if self.workers == 1 or len(tasks) <= self.workers:
-            stats.executed_inline = True
-            stats.chunks = len(tasks)
-            results_inline: list[RunRecord] = []
-            for position, task in enumerate(tasks):
-                record, duration, snapshot = _execute_task_guarded(
-                    task, self.collect_metrics)
-                stats.task_seconds_total += duration
-                stats.task_seconds_max = max(stats.task_seconds_max, duration)
-                if snapshots is not None:
-                    snapshots[position] = snapshot
-                self._persist((record,), (snapshot,))
-                results_inline.append(record)
-                self._report_progress(1)
-            self._retry_failures(results_inline, stats, snapshots)
-            return results_inline, snapshots
-
+        # otherwise fork/teardown costs more than the tasks themselves, and
+        # the stream runs inline one task per job.
+        inline = self.workers == 1 or len(tasks) <= self.workers
+        sizes = ([1] * len(tasks) if inline
+                 else guided_chunk_sizes(len(tasks), self.workers))
         jobs: list[tuple[int, list[Task], bool]] = []
         offset = 0
-        for size in guided_chunk_sizes(len(tasks), self.workers):
+        for size in sizes:
             jobs.append((offset, tasks[offset:offset + size], self.collect_metrics))
             offset += size
         stats.chunks = len(jobs)
+        stats.executed_inline = inline
 
         results: list[Optional[list[RunRecord]]] = [None] * len(jobs)
         starts = {start: slot for slot, (start, _, _) in enumerate(jobs)}
@@ -490,12 +473,13 @@ class SweepScheduler:
             self._report_progress(len(chunk_records))
 
         pool = None
-        try:
-            pool = multiprocessing.Pool(processes=self.workers)
-        except OSError:
-            # Could not even start the pool (fork/pipe exhaustion): the
-            # whole stream degrades to inline execution below.
-            stats.degraded_to_inline = True
+        if not inline:
+            try:
+                pool = multiprocessing.Pool(processes=self.workers)
+            except OSError:
+                # Could not even start the pool (fork/pipe exhaustion): the
+                # whole stream degrades to inline execution below.
+                stats.degraded_to_inline = True
         if pool is not None:
             try:
                 # Unordered completion + index-tagged chunks: fast workers
@@ -524,9 +508,10 @@ class SweepScheduler:
             finally:
                 pool.terminate()
                 pool.join()
-        # Degraded path: every chunk whose result never arrived re-runs
-        # inline.  Tasks are pure, so recomputing a lost chunk (even one a
-        # dead worker had partially finished) reproduces identical records.
+        # Inline path, and the degraded path: every chunk whose result never
+        # arrived runs here.  Tasks are pure, so recomputing a lost chunk
+        # (even one a dead worker had partially finished) reproduces
+        # identical records.
         for slot in range(len(jobs)):
             if results[slot] is None:
                 consume(_execute_chunk(jobs[slot]))
@@ -543,9 +528,9 @@ class SweepScheduler:
                         ) -> None:
         """Re-attempt every :class:`TaskFailure` in ``results``, in place.
 
-        Retries run inline in the parent with exponential backoff between
-        attempts; a recovered task's record (and metrics snapshot) is
-        persisted exactly as a first-try success would have been.  Markers
+        Retries run inline in the parent, back to back; a recovered task's
+        record (and metrics snapshot) is persisted exactly as a first-try
+        success would have been.  Markers
         that survive all attempts stay in the list for the caller to report.
         """
         if self.task_retries == 0:
@@ -554,9 +539,7 @@ class SweepScheduler:
             if not isinstance(outcome, TaskFailure):
                 continue
             failure = outcome
-            for attempt in range(self.task_retries):
-                if self.retry_backoff > 0.0:
-                    time.sleep(self.retry_backoff * 2 ** attempt)
+            for _ in range(self.task_retries):
                 stats.tasks_retried += 1
                 retried, duration, snapshot = _execute_task_guarded(
                     failure.task, self.collect_metrics)
@@ -586,7 +569,7 @@ class SweepScheduler:
         all_tasks: list[Task] = []
         boundaries: list[tuple[int, int]] = []
         for spec in specs:
-            resolved = resolve_spec_tasks(spec)
+            resolved = spec.tasks()
             boundaries.append((len(all_tasks), len(all_tasks) + len(resolved)))
             all_tasks.extend(resolved)
         records, stats = self.run_tasks(all_tasks)

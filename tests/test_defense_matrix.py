@@ -3,7 +3,7 @@
 The expensive full-grid properties (every attack × every stack, §V analytic
 agreement, residual-hijack rate) run once on a single seed; determinism is
 checked on a trimmed grid across worker counts, which must be byte-identical
-because the matrix inherits the runner's ordering guarantees.
+because the matrix inherits the scheduler's ordering guarantees.
 """
 
 from __future__ import annotations

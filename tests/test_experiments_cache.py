@@ -14,9 +14,10 @@ import multiprocessing
 import pytest
 
 from repro.experiments import (
-    ExperimentRunner,
+    ExperimentSpec,
     RunCache,
     RunRecord,
+    SweepScheduler,
     register_scenario,
     scenario_fingerprint,
     task_key,
@@ -209,14 +210,14 @@ def test_parallel_writers_produce_a_consistent_store(cache, tmp_path):
         assert merged.get("synthetic", seed, make_record(seed=seed).params) is not None
 
 
-# -- end-to-end through the runner ---------------------------------------------
+# -- end-to-end through the scheduler ------------------------------------------
 
 def test_runner_warm_cache_replays_digest_identically(tmp_path):
-    kwargs = {"seeds": (1, 2), "base_params": CHEAP}
-    cold = ExperimentRunner("bgp_hijack", workers=1,
-                            cache=RunCache(tmp_path / "rc"), **kwargs).run()
+    spec = ExperimentSpec("bgp_hijack", seeds=(1, 2), base_params=CHEAP)
+    [cold], _ = SweepScheduler(workers=1,
+                               cache=RunCache(tmp_path / "rc")).run_specs([spec])
     warm_cache = RunCache(tmp_path / "rc")
-    warm = ExperimentRunner("bgp_hijack", workers=1, cache=warm_cache, **kwargs).run()
+    [warm], _ = SweepScheduler(workers=1, cache=warm_cache).run_specs([spec])
     assert cold.digest() == warm.digest()
     assert cold.to_json() == warm.to_json()
     assert warm_cache.stats.hits == 2 and warm_cache.stats.misses == 0

@@ -25,9 +25,9 @@ from repro.attacks import (
 from repro.core.pool_generation import PoolGenerationPolicy
 from repro.experiments import (
     ExperimentResult,
-    ExperimentRunner,
     ExperimentSpec,
     RunRecord,
+    SweepScheduler,
     TestbedConfig,
     available_scenarios,
     build_testbed,
@@ -125,10 +125,16 @@ def test_every_scenario_runs_by_name_with_a_config_dict():
 
 # -- runner determinism ------------------------------------------------------------
 
+def _sweep(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
+    [result], _ = SweepScheduler(workers=workers).run_specs([spec])
+    return result
+
+
 def test_parallel_two_seed_sweep_matches_sequential_bit_for_bit():
-    kwargs = {"seeds": (3, 4), "base_params": FAST_POOL_PARAMS}
-    sequential = ExperimentRunner("chronos_pool_attack", workers=1, **kwargs).run()
-    parallel = ExperimentRunner("chronos_pool_attack", workers=2, **kwargs).run()
+    spec = ExperimentSpec("chronos_pool_attack", seeds=(3, 4),
+                          base_params=FAST_POOL_PARAMS)
+    sequential = _sweep(spec, workers=1)
+    parallel = _sweep(spec, workers=2)
     assert sequential.records == parallel.records
     assert sequential.digest() == parallel.digest()
     assert sequential.to_json() == parallel.to_json()
@@ -136,26 +142,26 @@ def test_parallel_two_seed_sweep_matches_sequential_bit_for_bit():
 
 def test_parallel_sweep_equals_two_single_seed_runs():
     singles = [
-        ExperimentRunner("chronos_pool_attack", seeds=(seed,),
-                         base_params=FAST_POOL_PARAMS).run()
+        _sweep(ExperimentSpec("chronos_pool_attack", seeds=(seed,),
+                              base_params=FAST_POOL_PARAMS))
         for seed in (3, 4)
     ]
-    swept = ExperimentRunner("chronos_pool_attack", seeds=(3, 4),
-                             base_params=FAST_POOL_PARAMS, workers=2).run()
+    swept = _sweep(ExperimentSpec("chronos_pool_attack", seeds=(3, 4),
+                                  base_params=FAST_POOL_PARAMS), workers=2)
     assert swept.records == singles[0].records + singles[1].records
 
 
 def test_same_spec_runs_are_reproducible():
     """Regression for the randomness audit: nothing outside the seeded RNGs."""
     spec = ExperimentSpec(scenario="traditional_client_attack", seeds=(5, 6, 7))
-    first = ExperimentRunner(spec=spec).run()
-    second = ExperimentRunner(spec=spec).run()
+    first = _sweep(spec)
+    second = _sweep(spec)
     assert first.digest() == second.digest()
 
 
 def test_records_carry_fully_resolved_params():
-    result = ExperimentRunner("bgp_hijack", seeds=(1,),
-                              base_params={"hijack_duration": 10.0}).run()
+    result = _sweep(ExperimentSpec("bgp_hijack", seeds=(1,),
+                                   base_params={"hijack_duration": 10.0}))
     record = result.records[0]
     assert record.params["hijack_duration"] == 10.0
     # Defaults are materialised into the record, not left implicit.
@@ -181,11 +187,11 @@ def test_param_sets_and_grid_are_mutually_exclusive():
 
 
 def test_grid_grouping_by_parameter():
-    result = ExperimentRunner(
+    result = _sweep(ExperimentSpec(
         "bgp_hijack", seeds=(1, 2),
         grid={"hijack_duration": [0.0, 30.0]},
         base_params={"benign_server_count": 10},
-    ).run()
+    ))
     groups = result.group_by("hijack_duration")
     assert list(groups) == [(0.0,), (30.0,)]
     # No hijack window -> the benign lookup cannot be poisoned.

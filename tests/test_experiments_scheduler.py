@@ -1,10 +1,10 @@
 """Tests for the shared sweep-execution layer (scheduler + matrix wiring).
 
-The load-bearing contract is inherited from the runner and strengthened:
+The load-bearing contract: a sweep is a pure function of its specs, and
 flattening many specs into one task stream, executing them on one shared
 pool with guided chunking, and replaying cells from the persistent cache
 must all be *invisible* in the output — byte-identical digests across worker
-counts, against per-row runners, and across cold and warm cache runs.
+counts, against per-row sweeps, and across cold and warm cache runs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 from repro.experiments import (
     AttackSpec,
     DefenseStackSpec,
-    ExperimentRunner,
     ExperimentSpec,
     RunCache,
     SweepError,
@@ -73,7 +72,7 @@ def _two_specs():
 
 def test_run_specs_matches_individual_runners_bit_for_bit():
     shared, stats = SweepScheduler(workers=1).run_specs(_two_specs())
-    individual = [ExperimentRunner(spec=spec, workers=1).run()
+    individual = [SweepScheduler(workers=1).run_specs([spec])[0][0]
                   for spec in _two_specs()]
     assert stats.tasks_total == 4
     assert [result.scenario for result in shared] == ["bgp_hijack", "frag_poisoning"]
@@ -110,6 +109,9 @@ def test_inline_fallback_when_workers_would_idle():
 def test_scheduler_rejects_bad_worker_count():
     with pytest.raises(ValueError):
         SweepScheduler(workers=0)
+    for timeout in (0, -1.0):
+        with pytest.raises(ValueError, match="task_timeout"):
+            SweepScheduler(workers=2, task_timeout=timeout)
 
 
 # -- progress reporting ---------------------------------------------------------
@@ -123,6 +125,8 @@ def test_on_progress_reports_every_inline_task():
                               calls.append((done, total))).run_specs([spec])
     assert stats.executed_inline
     assert calls == [(1, 3), (2, 3), (3, 3)]
+    assert stats.chunks == 3
+    assert 0 < stats.task_seconds_max <= stats.task_seconds_total
 
 
 def test_on_progress_reports_pooled_chunks_and_cache_replay(tmp_path):
@@ -211,8 +215,8 @@ def test_interrupted_sweep_persists_completed_records(tmp_path):
 
 def test_matrix_shared_scheduler_matches_legacy_per_row_path():
     shared = run_defense_matrix(TRIMMED_ATTACKS, TRIMMED_STACKS, seeds=(1, 2))
-    # The legacy path ran one ExperimentRunner (own pool, own barrier) per row.
-    legacy = [ExperimentRunner(spec=spec, workers=1).run()
+    # The legacy path ran one sweep (own pool, own barrier) per row.
+    legacy = [SweepScheduler(workers=1).run_specs([spec])[0][0]
               for spec in matrix_specs(TRIMMED_ATTACKS, TRIMMED_STACKS, (1, 2))]
     for attack, row in zip(TRIMMED_ATTACKS, legacy):
         shared_records = [record

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import struct
@@ -23,9 +24,9 @@ from repro.dns.records import RecordType, ResourceRecord, a_record
 from repro.dns.wire import WireFormatError, decode_name, encode_name, letter_count
 from repro.netsim import transport
 from repro.netsim.addresses import AddressError, int_to_ip, ip_to_bytes, ip_to_int
-from repro.netsim.fragmentation import ReassemblyBuffer, fragment_datagram
-from repro.netsim.packets import UDPDatagram
-from repro.ntp.packet import NTPMode, NTPPacket
+from repro.netsim.fragmentation import OverlapPolicy, ReassemblyBuffer, fragment_datagram
+from repro.netsim.packets import IPPacket, PacketError, UDPDatagram
+from repro.ntp.packet import NTPMode, NTPPacket, PacketFormatError
 from repro.ntp.timestamps import ntp_to_unix, unix_to_ntp
 from repro.population import engine
 from repro.population.batch import FleetPolicy
@@ -253,6 +254,44 @@ def test_fragmentation_reassembly_roundtrip(size, mtu, ip_id):
     assert result.datagram.payload == payload
     assert result.datagram.checksum_valid()
     assert not result.poisoned
+
+
+# -- decoder totality: attacker bytes yield a value or the decoder's own error -------------------
+
+@given(data=st.one_of(st.binary(max_size=64), st.binary(min_size=48, max_size=48)))
+@settings(max_examples=300)
+def test_ntp_decode_is_total_on_arbitrary_bytes(data):
+    try:
+        NTPPacket.decode(data)
+    except PacketFormatError:
+        pass
+
+
+@given(data=st.one_of(st.binary(max_size=80), st.binary(min_size=20, max_size=20)))
+@settings(max_examples=300)
+def test_tcp_segment_decode_is_total_on_arbitrary_bytes(data):
+    try:
+        transport.TCPSegment.decode(data)
+    except PacketError:
+        pass
+
+
+fragments = st.builds(
+    lambda ip_id, units, payload, more, spoofed, compensated: IPPacket(
+        "10.0.0.1", "10.0.0.2", ip_id, payload, fragment_offset=8 * units,
+        more_fragments=more, spoofed=spoofed, checksum_compensated=compensated),
+    st.integers(0, 1), st.integers(0, 8), st.binary(max_size=40),
+    st.booleans(), st.booleans(), st.booleans())
+
+
+@given(policy=st.sampled_from(list(OverlapPolicy)),
+       sequence=st.lists(st.tuples(fragments, st.floats(0.0, 40.0)), max_size=12))
+@settings(max_examples=150)
+def test_reassembly_is_total_on_random_fragment_sequences(policy, sequence):
+    buffer = ReassemblyBuffer(overlap_policy=policy, capacity=2)
+    for fragment, now in sequence:
+        with contextlib.suppress(PacketError):
+            buffer.add_fragment(fragment, now)
 
 
 # -- Chronos selection invariants -------------------------------------------------------------------
